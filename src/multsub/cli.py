@@ -2,9 +2,8 @@
 
 Subcommands: count, scan, distribution, moments, constants, verify, extremal.
 Output is deterministic for a fixed configuration: reductions use fixed chunk
-boundaries derived from the input size, never from the worker count, so runs
-are byte-identical regardless of --threads.  Exit codes: 0 success, 1
-invariant or construction failure, 2 usage error.
+boundaries derived from the input size, so repeated runs are byte-identical.
+Exit codes: 0 success, 1 invariant or construction failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -41,11 +39,12 @@ def cmd_count(args) -> int:
         if n < 1:
             print(f"count: n must be positive, got {n}", file=sys.stderr)
             return 2
-        dec = multgroup.sylow_decomposition(n)
-        g, i = multgroup.subgroup_counts(n)
+        fact = multgroup.factorize(n)
+        dec = multgroup.sylow_decomposition(n, fact=fact)
+        g, i = multgroup.subgroup_counts(n, dec=dec)
         obj = {
             "n": n,
-            "phi": str(multgroup.euler_phi(n)),
+            "phi": str(math.prod(p**alpha.size for p, alpha in dec.components.items())),
             "sylow": {str(p): str(alpha) for p, alpha in sorted(dec.components.items())},
             "G": str(g),
             "I": str(i),
@@ -61,14 +60,11 @@ def cmd_scan(args) -> int:
         print("scan: --max must be at least 2", file=sys.stderr)
         return 2
     table = sieve.build(n_max)
+    cols = (table.phi, table.omega_phi, table.bigomega_phi, *multgroup.log_counts(table, n_max))
     rows = ["n,phi,omega_phi,bigomega_phi,logG,logI"]
-    for n in range(2, n_max + 1):
-        fact = table.factorize(n)
-        log_g, log_i = multgroup.log_subgroup_counts(n, table, fact)
-        rows.append(
-            f"{n},{int(table.phi[n])},{int(table.omega_phi[n])},"
-            f"{int(table.bigomega_phi[n])},{log_g:.6f},{log_i:.6f}"
-        )
+    for n, phi, w, big_w, log_g, log_i in zip(range(2, n_max + 1),
+                                              *(c[2:].tolist() for c in cols)):
+        rows.append(f"{n},{phi},{w},{big_w},{log_g:.6f},{log_i:.6f}")
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -205,12 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="multsub",
         description="Subgroup counts of (Z/nZ)^x: exact values, scans, and statistics.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("MULTSUB_THREADS", "1")),
-        help="worker count hint; results are identical for any value",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="exact G(n), I(n) and Sylow types for given n")
@@ -270,9 +260,6 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.threads < 1:
-        print("--threads must be positive", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ValueError as exc:

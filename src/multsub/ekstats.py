@@ -65,10 +65,6 @@ def surrogate_prime_powers(x: float) -> list[tuple[int, float]]:
 # Means and the mean/oscillation decomposition
 # ---------------------------------------------------------------------------
 
-def _omega_small(m: int) -> int:
-    return len(multgroup.factorize(m))
-
-
 @lru_cache(maxsize=64)
 def _exact_state(q: int, xi: int):
     """For exact arithmetic at small x: the primes p <= xi with g(p) != 0,
@@ -77,7 +73,7 @@ def _exact_state(q: int, xi: int):
     ps = [int(p) for p in primes_up_to(xi)]
     rows = []
     for p in ps:
-        g = _omega_small(p - 1) if q == OMEGA0 else int((p - 1) % q == 0)
+        g = len(multgroup.factorize(p - 1)) if q == OMEGA0 else int((p - 1) % q == 0)
         if g:
             rows.append((p, g))
     mu_sum = Fraction(0)
@@ -89,17 +85,20 @@ def _exact_state(q: int, xi: int):
     return tuple(rows), mu_sum, neg_sum
 
 
+def _g_values(q: int, ps: np.ndarray, table: FunctionTable) -> np.ndarray:
+    """g(p) at each prime of ps for the function tagged q, as floats."""
+    g = table.omega_phi[ps] if q == OMEGA0 else (ps - 1) % q == 0
+    return g.astype(np.float64)
+
+
 def _float_state(q: int, x: float, table: FunctionTable):
     key = ("ek_state", q, float(x))
     got = table._cache.get(key)
     if got is None:
         ps = table.primes[table.primes <= x]
-        if q == OMEGA0:
-            g = table.omega_phi[ps].astype(np.float64)
-        else:
-            mask = (ps - 1) % q == 0
-            ps = ps[mask]
-            g = np.ones(len(ps), dtype=np.float64)
+        g = _g_values(q, ps, table)
+        if q != OMEGA0:  # keep only the residue class, where g = 1
+            ps, g = ps[g != 0], g[g != 0]
         pf = ps.astype(np.float64)
         got = (ps.astype(np.int64), g, 1.0 / pf)
         table._cache[key] = got
@@ -147,7 +146,7 @@ def oscillation(q: int, a: int, x: float, table: FunctionTable | None = None,
         hit = 0
         for p, e in multgroup.factorize(a):
             if p <= x:
-                g = _omega_small(p - 1) if q == OMEGA0 else int((p - 1) % q == 0)
+                g = len(multgroup.factorize(p - 1)) if q == OMEGA0 else int((p - 1) % q == 0)
                 hit += g
         return hit + neg_sum
     if table is None or table.N < x:
@@ -181,13 +180,7 @@ def covariance(q1: int, q2: int, z: float, table: FunctionTable) -> float:
     ps = table.primes[table.primes <= z]
     pf = ps.astype(np.float64)
     weight = (1.0 / pf) * (1.0 - 1.0 / pf)
-
-    def gvals(q):
-        if q == OMEGA0:
-            return table.omega_phi[ps].astype(np.float64)
-        return ((ps - 1) % q == 0).astype(np.float64)
-
-    return chunked_sum(gvals(q1) * gvals(q2) * weight)
+    return chunked_sum(_g_values(q1, ps, table) * _g_values(q2, ps, table) * weight)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +199,7 @@ def log_g_surrogate(n: int, x: float, table: FunctionTable | None = None) -> flo
         fact = table.factorize(n) if n >= 2 else []
     else:
         fact = multgroup.factorize(n)
-        w0 = _omega_small(multgroup.euler_phi(n))
+        w0 = len(multgroup.factorize(multgroup.euler_phi(n)))
     total = LOG2 * w0
     for q, logp in qs:
         wq = multgroup.omega_q(n, q, fact)
@@ -328,12 +321,11 @@ def distribution_report(x: int, which: str, table: FunctionTable,
             mean_coeff, var_coeff = LOG2 / 2.0, LOG2 / 3.0
 
     n_min = 16  # smallest integer above e^e
+    logs = multgroup.log_counts(table, x)[0 if which == "G" else 1].tolist()
     samples = np.empty(x - n_min + 1, dtype=np.float64)
     for i, n in enumerate(range(n_min, x + 1)):
-        fact = table.factorize(n)
-        logv = multgroup.log_subgroup_counts(n, table, fact)[0 if which == "G" else 1]
         ll = math.log(math.log(n))
-        samples[i] = (logv - mean_coeff * ll**2) / math.sqrt(var_coeff * ll**3)
+        samples[i] = (logs[n] - mean_coeff * ll**2) / math.sqrt(var_coeff * ll**3)
 
     moments = {h: chunked_sum(samples**h) / len(samples) for h in (1, 2, 3, 4)}
     report = DistributionReport(

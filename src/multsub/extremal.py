@@ -50,12 +50,9 @@ def scan_max(N: int, which: str, table: FunctionTable) -> ExtremalRecord:
         raise ValueError("which must be 'G' or 'I'")
     if N < 3 or table.N < N:
         raise ValueError("need 3 <= N <= table.N")
-    best_n, best = 3, -1.0
-    idx = 0 if which == "G" else 1
-    for n in range(3, N + 1):
-        v = multgroup.log_subgroup_counts(n, table)[idx]
-        if v > best:
-            best_n, best = n, v
+    values = multgroup.log_counts(table, N)[0 if which == "G" else 1]
+    best_n = 3 + int(np.argmax(values[3:]))  # the first maximum
+    best = float(values[best_n])
     return ExtremalRecord(best_n, best, _normalized(best, math.log(best_n), which), "scan")
 
 
@@ -139,7 +136,7 @@ def construct_I_extremal(x: float, candidate_cap: int = DEFAULT_CANDIDATE_CAP,
         raise ConstructionFailedError(
             f"no prime found in 1 + k*{m} within {candidate_cap} candidates"
         )
-    value = multgroup.log_subgroup_counts(q, table)[1]
+    value = math.log(multgroup.subgroup_counts(q, table)[1])
     return ExtremalRecord(q, value, _normalized(value, math.log(q), "I"), "construction")
 
 
@@ -180,28 +177,13 @@ def upper_bound_check(N: int, table: FunctionTable,
         raise ValueError("need 100 <= N <= table.N")
     base = 0.25 * math.log(N) ** 2 / math.log(math.log(N))
     g_bound = base * (1 + slack)
-    max_g = 0.0
-    max_g_ratio = 0.0
-    max_i_ratio = 0.0
-    g_violations: list[int] = []
-    i_violations: list[int] = []
-    for n in range(2, N + 1):
-        fact = table.factorize(n)
-        log_g, log_i = multgroup.log_subgroup_counts(n, table, fact)
-        if log_g > max_g:
-            max_g = log_g
-        if log_g / base > max_g_ratio:
-            max_g_ratio = log_g / base
-        if log_g > g_bound:
-            g_violations.append(n)
-        phi = int(table.phi[n])
-        i_cap = PI_SQRT_2_3 * sum(math.sqrt(e) for _, e in table.factorize(phi)) if phi > 1 else 0.0
-        if log_i > i_cap:
-            i_violations.append(n)
-        if i_cap > 0 and log_i / i_cap > max_i_ratio:
-            max_i_ratio = log_i / i_cap
+    log_g, log_i = multgroup.log_counts(table, N)
+    i_cap = np.array([PI_SQRT_2_3 * sum(math.sqrt(e) for _, e in table.factorize(int(phi)))
+                      if phi > 1 else 0.0 for phi in table.phi[: N + 1]])
     return BoundCheckReport(
-        N=N, g_bound=g_bound, slack=slack, max_log_g=max_g,
-        max_log_g_ratio=max_g_ratio, max_log_i_ratio=max_i_ratio,
-        g_violations=g_violations, i_violations=i_violations,
+        N=N, g_bound=g_bound, slack=slack, max_log_g=float(log_g.max()),
+        max_log_g_ratio=float((log_g / base).max()),
+        max_log_i_ratio=float((log_i[i_cap > 0] / i_cap[i_cap > 0]).max(initial=0.0)),
+        g_violations=(np.flatnonzero(log_g[2:] > g_bound) + 2).tolist(),
+        i_violations=(np.flatnonzero(log_i[2:] > i_cap[2:]) + 2).tolist(),
     )

@@ -1,16 +1,19 @@
 """Structure of the unit group (Z/nZ)^x.
 
 Factorization, the prime-counting functions omega_q and their boundary
-corrected variants, Carmichael exponents, per-prime Sylow partitions, exact
-subgroup counts G(n) and I(n), and an independent closure-based enumeration
-oracle used to verify the formulas.
+corrected variants, Carmichael exponents, Sylow partitions from the primary
+decomposition (and, as a check, from omega_bar and lambda_p), exact subgroup
+counts G(n) and I(n), and an independent closure-based enumeration oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from math import gcd
+
+import numpy as np
 
 from .partitions import Partition, count_subpartitions
 from .pgroup import PGroupType, subgroup_count
@@ -155,8 +158,7 @@ class SylowDecomposition:
     components: dict[int, Partition]
 
 
-def _sylow_conjugate(n: int, p: int, fact: list[tuple[int, int]],
-                     subfacts: dict[int, list[tuple[int, int]]] | None = None) -> tuple[int, ...]:
+def _sylow_conjugate(n: int, p: int, fact: list[tuple[int, int]]) -> tuple[int, ...]:
     """The vector (omega_bar_{p^1}(n), ..., omega_bar_{p^lambda}(n)); empty
     when p does not divide phi(n).  Its conjugate is the Sylow partition."""
     lam = lambda_p(n, p, fact)
@@ -186,36 +188,50 @@ def sylow_partition(n: int, p: int, table: FunctionTable | None = None) -> Parti
     return Partition(a).conjugate()
 
 
+def _prime_power_parts(q: int, e: int, table: FunctionTable | None) -> list[tuple[int, int]]:
+    """(p, k) for each cyclic factor Z_{p^k} of (Z/q^eZ)^x: Z_2 x Z_{2^{e-2}} for
+    q = 2, else Z_{p^{nu_p(q-1)}} for each p | q - 1 and Z_{q^{e-1}}."""
+    if q == 2:
+        return [] if e == 1 else [(2, 1)] if e == 2 else [(2, 1), (2, e - 2)]
+    return factorize(q - 1, table) + ([(q, e - 1)] if e >= 2 else [])
+
+
+def _alphas(parts) -> dict[int, Partition]:
+    """The Sylow partitions {p: alpha_p}, primes ascending, from the cyclic
+    factors Z_{p^k} given as pairs (p, k)."""
+    return {p: Partition(tuple(k for _, k in grp)[::-1])
+            for p, grp in groupby(sorted(parts), lambda pk: pk[0])}
+
+
+def _counts(alphas: dict[int, Partition], memo: dict) -> tuple[int, int]:
+    """(G, I) over the Sylow components {p: alpha}; memo holds counted components."""
+    g = i = 1
+    for key in alphas.items():
+        if key not in memo:
+            memo[key] = subgroup_count(PGroupType(*key)), count_subpartitions(key[1])
+        g, i = g * memo[key][0], i * memo[key][1]
+    return g, i
+
+
 def sylow_decomposition(n: int, table: FunctionTable | None = None,
                         fact: list[tuple[int, int]] | None = None) -> SylowDecomposition:
-    """Sylow partitions for every prime dividing phi(n)."""
+    """Sylow partitions for every prime dividing phi(n), from the primary
+    decomposition: (Z/nZ)^x is the product of the (Z/q^eZ)^x over q^e || n."""
     if fact is None:
         fact = factorize(n, table)
-    ps: set[int] = set()
-    for q, e in fact:
-        if q != 2:
-            ps.update(p for p, _ in factorize(q - 1, table))
-        if e >= 2:
-            ps.add(q)
-    comps: dict[int, Partition] = {}
-    for p in sorted(ps):
-        a = _sylow_conjugate(n, p, fact)
-        if a:
-            comps[p] = Partition(a).conjugate()
-    return SylowDecomposition(n=n, components=comps)
+    parts = [x for q, e in fact for x in _prime_power_parts(q, e, table)]
+    return SylowDecomposition(n, _alphas(parts))
 
 
 def subgroup_counts(n: int, table: FunctionTable | None = None,
-                    fact: list[tuple[int, int]] | None = None) -> tuple[int, int]:
+                    fact: list[tuple[int, int]] | None = None,
+                    dec: SylowDecomposition | None = None) -> tuple[int, int]:
     """(G(n), I(n)): exact counts of subgroups of (Z/nZ)^x as sets and up to
-    isomorphism.  Both are products over the Sylow components."""
-    dec = sylow_decomposition(n, table, fact)
-    g = 1
-    i = 1
-    for p, alpha in dec.components.items():
-        g *= subgroup_count(PGroupType(p, alpha))
-        i *= count_subpartitions(alpha)
-    return g, i
+    isomorphism.  Both are products over the Sylow components; pass dec when
+    the decomposition of n is already at hand."""
+    if dec is None:
+        dec = sylow_decomposition(n, table, fact)
+    return _counts(dec.components, {})
 
 
 def count_subgroups(n: int, table: FunctionTable | None = None) -> int:
@@ -228,11 +244,19 @@ def count_subgroup_isoclasses(n: int, table: FunctionTable | None = None) -> int
     return subgroup_counts(n, table)[1]
 
 
-def log_subgroup_counts(n: int, table: FunctionTable | None = None,
-                        fact: list[tuple[int, int]] | None = None) -> tuple[float, float]:
-    """(log G(n), log I(n)) as floats, from the exact integer counts."""
-    g, i = subgroup_counts(n, table, fact)
-    return math.log(g), math.log(i)
+def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log G(n), log I(n)) for 0 <= n <= N: two float64 arrays holding math.log
+    of the exact counts (0 at n = 0 and 1).  Each Sylow component (p, alpha)
+    is counted once per call."""
+    if not 1 <= N <= table.N:
+        raise ValueError(f"need 1 <= N <= table.N = {table.N}, got {N}")
+    # per call, not per process: one call's work does not depend on earlier calls
+    memo = {}
+    logs = [(0.0, 0.0)] * (N + 1)
+    for n in range(2, N + 1):
+        parts = [x for q, e in table.factorize(n) for x in _prime_power_parts(q, e, table)]
+        logs[n] = tuple(map(math.log, _counts(_alphas(parts), memo)))
+    return tuple(np.array(logs).T.copy())
 
 
 # ---------------------------------------------------------------------------

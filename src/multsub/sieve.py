@@ -117,8 +117,8 @@ class FunctionTable:
 
 def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
     """Sieve all table columns for 2 <= n <= N."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    if not 2 <= N < 2**31:  # spf and phi are int32 columns
+        raise ValueError(f"N must be in [2, 2**31), got {N}")
     if 16 * (N + 1) > memory_budget:
         raise MemoryBudgetError(
             f"table for N = {N} needs about {16 * (N + 1)} bytes, budget {memory_budget}"

@@ -95,4 +95,3 @@ def test_extremal_commands(tmp_path):
 def test_usage_errors():
     assert run(["nonsense"]) == 2
     assert run(["scan"]) == 2
-    assert run(["--threads", "0", "count", "8"]) == 2

@@ -1,9 +1,13 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multsub import multgroup as mg
-from multsub.partitions import Partition
+from multsub.partitions import Partition, count_subpartitions
+from multsub.pgroup import PGroupType, subgroup_count
 
 
 def factorize_naive(n):
@@ -89,6 +93,45 @@ def test_sylow_partition_examples():
     assert mg.sylow_partition(15, 2) == Partition((2, 1))
     with pytest.raises(ValueError):
         mg.sylow_partition(5, 7)
+
+
+def check_primary_against_definition(n, table=None):
+    """The primary decomposition has a component for exactly the primes
+    p | phi(n), each equal to the conjugate of the omega_bar vector."""
+    fact = mg.factorize(n, table)
+    dec = mg.sylow_decomposition(n, table, fact)
+    phi_primes = [p for p, _ in mg.factorize(mg.euler_phi(n, table), table)]
+    assert list(dec.components) == phi_primes, n
+    for p, alpha in dec.components.items():
+        assert alpha == Partition(mg._sylow_conjugate(n, p, fact)).conjugate(), (n, p)
+
+
+def test_primary_decomposition_matches_definition(table_100k):
+    for n in range(1, 10**5 + 1):
+        check_primary_against_definition(n, table_100k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10**12))
+def test_primary_decomposition_matches_definition_table_free(n):
+    check_primary_against_definition(n)
+
+
+def test_log_counts_match_definitional_products(table_10k):
+    t = table_10k
+    log_g, log_i = mg.log_counts(t, 10**4)
+    assert log_g.dtype == log_i.dtype == np.float64
+    assert len(log_g) == len(log_i) == 10**4 + 1
+    assert log_g[0] == log_i[0] == 0.0
+    for n in range(1, 10**4 + 1):
+        g = i = 1
+        for p, _ in mg.factorize(mg.euler_phi(n, t), t):
+            alpha = mg.sylow_partition(n, p, t)
+            g *= subgroup_count(PGroupType(p, alpha))
+            i *= count_subpartitions(alpha)
+        assert (log_g[n], log_i[n]) == (math.log(g), math.log(i)), n
+    with pytest.raises(ValueError):
+        mg.log_counts(t, 10**4 + 1)
 
 
 def test_sylow_decomposition_consistency(table_10k):

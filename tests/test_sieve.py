@@ -49,6 +49,9 @@ def test_build_validation():
         sieve.build(1)
     with pytest.raises(sieve.MemoryBudgetError):
         sieve.build(10**7, memory_budget=10**6)
+    # the int32 columns would overflow: refused before any allocation
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        sieve.build(2**31, memory_budget=2**40)
 
 
 def test_table_matches_per_n_computation(table_10k):
