@@ -137,10 +137,10 @@ def cmd_verify(args) -> int:
     for n in range(1, args.max + 1):
         g, i = multgroup.subgroup_counts(n)
         try:
-            go = len(multgroup.enumerate_subgroups_oracle(n, cap=args.oracle_cap))
-            io = multgroup.classify_isoclasses_oracle(n, cap=args.oracle_cap)
+            subs = multgroup.enumerate_subgroups_oracle(n, cap=args.oracle_cap)
         except multgroup.OracleCapError:
             continue
+        go, io = len(subs), multgroup.classify_isoclasses_oracle(n, subs=subs)
         if g != go or i != io:
             mismatch.append((n, g, go, i, io))
     check(f"subgroup counts match closure oracle for n <= {args.max}", not mismatch)

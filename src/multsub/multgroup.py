@@ -17,9 +17,11 @@ import numpy as np
 
 from .partitions import Partition, count_subpartitions
 from .pgroup import PGroupType, subgroup_count
+from . import sieve
 from .sieve import FunctionTable
 
 DEFAULT_ORACLE_CAP = 1024
+_RHO_MAX_R = 1 << 21  # rho gives up once its cycle-length guess passes this
 
 
 class OracleCapError(ValueError):
@@ -29,8 +31,11 @@ class OracleCapError(ValueError):
 def factorize(n: int, table: FunctionTable | None = None) -> list[tuple[int, int]]:
     """Exact prime factorization as (prime, exponent) pairs, primes ascending.
 
-    Uses the table's smallest-prime-factor chain when available, else
-    deterministic trial division.
+    Uses the table's smallest-prime-factor chain when available, else trial
+    division below 1000, then Brent's variant of Pollard's rho and
+    `sieve.is_prime`.  Raises ValueError for a probable prime of at least
+    `sieve.IS_PRIME_LIMIT`, where that test stops being exact, and when rho
+    runs out of steps (two prime factors both above about 1e13).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -48,7 +53,7 @@ def factorize(n: int, table: FunctionTable | None = None) -> list[tuple[int, int
         if e:
             out.append((p, e))
     d = 5
-    while d * d <= m:
+    while d * d <= m and d < 1000:
         for p in (d, d + 2):  # 6k +- 1 wheel
             e = 0
             while m % p == 0:
@@ -57,9 +62,51 @@ def factorize(n: int, table: FunctionTable | None = None) -> list[tuple[int, int
             if e:
                 out.append((p, e))
         d += 6
+    if m >= d * d:  # no prime below d divides m or its factors: below d * d they are prime
+        big, rest = [], [m]
+        while rest:
+            x = rest.pop()
+            if x < d * d or sieve.is_prime(x):
+                if x >= sieve.IS_PRIME_LIMIT:
+                    raise ValueError(f"cannot certify {x} as prime: at least {sieve.IS_PRIME_LIMIT}")
+                big.append(x)
+            else:
+                f = _rho_factor(x)
+                rest += [f, x // f]
+        return out + [(p, len(list(g))) for p, g in groupby(sorted(big))]
     if m > 1:
         out.append((m, 1))
     return out
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Brent's cycle search on
+    y -> y^2 + c mod n, with the differences of each batch of 128 steps
+    multiplied into one gcd."""
+    for c in range(1, 9):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and r <= _RHO_MAX_R:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                if (g := gcd(q, n)) != 1:
+                    break
+            r *= 2
+        if g == 1:
+            break  # step budget spent
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+    raise ValueError(f"Pollard-Brent rho found no factor of {n} within its step budget")
 
 
 def euler_phi(n: int, table: FunctionTable | None = None) -> int:
@@ -283,17 +330,41 @@ def _closure(H: frozenset, g, mul) -> frozenset:
     return frozenset(S)
 
 
+def _cyclic_walk(elements, mul, identity) -> tuple[list, dict]:
+    """One generator for each distinct cyclic subgroup, and the order of every
+    element, from the powers of each element not yet known as a generator."""
+    gens, order, covered = [], {}, set()
+    for g in elements:
+        if g in covered:
+            continue
+        powers = [identity]
+        x = g
+        while x != identity:
+            powers.append(x)
+            x = mul(x, g)
+        m = len(powers)
+        gens.append(g)
+        for k, x in enumerate(powers):
+            order[x] = m // gcd(k, m)
+            if order[x] == m:  # x generates <g> too
+                covered.add(x)
+    return gens, order
+
+
 def closure_subgroup_enumeration(elements, mul, identity,
                                  max_subgroups: int | None = None) -> list[tuple]:
     """Every subgroup of a finite abelian group, found by breadth-first
-    closure: extend each known subgroup by one element and close under the
-    operation.  Returns canonical sorted element tuples."""
+    closure over cyclic-subgroup joins: extend each known subgroup H by one
+    generator of each cyclic subgroup <g>.  Every subgroup is a join of cyclic
+    subgroups and H v <g> depends only on <g>, so this reaches every subgroup.
+    Returns canonical sorted element tuples."""
+    gens = _cyclic_walk(elements, mul, identity)[0]
     base = frozenset([identity])
     found = {base}
     queue = [base]
     while queue:
         H = queue.pop()
-        for g in elements:
+        for g in gens:
             if g in H:
                 continue
             K = _closure(H, g, mul)
@@ -309,33 +380,24 @@ def closure_subgroup_enumeration(elements, mul, identity,
 
 def enumerate_subgroups_oracle(n: int, cap: int = DEFAULT_ORACLE_CAP) -> list[tuple[int, ...]]:
     """All subgroups of (Z/nZ)^x as sorted residue tuples, by closure search.
-    Refuses when phi(n) exceeds the cap."""
-    us = units(n)
-    if len(us) > cap:
-        raise OracleCapError(f"phi({n}) = {len(us)} exceeds oracle cap {cap}")
+    Refuses when phi(n) exceeds the cap, before listing the units."""
+    phi = euler_phi(n)
+    if phi > cap:
+        raise OracleCapError(f"phi({n}) = {phi} exceeds oracle cap {cap}")
     if n == 1:
         return [(0,)]
-    return closure_subgroup_enumeration(us, lambda a, b: a * b % n, 1 % n)
+    return closure_subgroup_enumeration(units(n), lambda a, b: a * b % n, 1)
 
 
-def _element_orders(H: tuple[int, ...], n: int) -> tuple[int, ...]:
-    e = 1 % n
-    orders = []
-    for g in H:
-        k = 1
-        x = g
-        while x != e:
-            x = x * g % n
-            k += 1
-        orders.append(k)
-    return tuple(sorted(orders))
-
-
-def classify_isoclasses_oracle(n: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """Number of distinct isomorphism types among the enumerated subgroups.
+def classify_isoclasses_oracle(n: int, cap: int = DEFAULT_ORACLE_CAP,
+                               subs: list[tuple[int, ...]] | None = None) -> int:
+    """Number of distinct isomorphism types among the enumerated subgroups;
+    pass subs when the enumeration of n is already at hand.
 
     For finite abelian groups the sorted multiset of element orders
     determines the isomorphism type, so it serves as the signature.
     """
-    subs = enumerate_subgroups_oracle(n, cap)
-    return len({_element_orders(H, n) for H in subs})
+    if subs is None:
+        subs = enumerate_subgroups_oracle(n, cap)
+    order = _cyclic_walk(units(n), lambda a, b: a * b % n, 1 % n)[1]
+    return len({tuple(sorted(order[g] for g in H)) for H in subs})

@@ -26,6 +26,11 @@ def gaussian_binomial(k: int, l: int, p: int) -> int:
         raise ValueError("k must be nonnegative")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    return _gaussian_binomial(k, l, p)
+
+
+def _gaussian_binomial(k: int, l: int, p: int) -> int:
+    """gaussian_binomial without validating k and p."""
     if l < 0 or l > k:
         return 0
     val = 1
@@ -53,7 +58,7 @@ def _count_fixed_conjugates(a: tuple[int, ...], b: tuple[int, ...], p: int) -> i
         aj = a[j]
         bj = b[j] if j < len(b) else 0
         bj1 = b[j + 1] if j + 1 < len(b) else 0
-        total *= p ** ((aj - bj) * bj1) * gaussian_binomial(aj - bj1, bj - bj1, p)
+        total *= p ** ((aj - bj) * bj1) * _gaussian_binomial(aj - bj1, bj - bj1, p)
     return total
 
 

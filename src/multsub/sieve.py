@@ -16,8 +16,10 @@ import numpy as np
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
 
-# Witness set deterministic for all n below 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 prime bases: deterministic below IS_PRIME_LIMIT, the least
+# strong pseudoprime to all of them (without 41 the bound falls to 3.18e23).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+IS_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 class MemoryBudgetError(ValueError):
@@ -26,10 +28,11 @@ class MemoryBudgetError(ValueError):
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, valid for all n < IS_PRIME_LIMIT (3.3e24);
+    above it a True answer means only a strong probable prime."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -16,6 +16,19 @@ def test_count_outputs_expected_json(capsys):
     assert second["G"] == "1" and second["I"] == "1"
 
 
+def test_count_factors_a_20_digit_semiprime(capsys):
+    p, q = 3000000019, 4000000007
+    assert run(["count", str(p * q)]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert len(str(obj["n"])) == 20
+    assert obj["phi"] == str((p - 1) * (q - 1))
+
+
+def test_count_refuses_uncertified_prime(capsys):
+    assert run(["count", str(2**89 - 1)]) == 2
+    assert "cannot certify" in capsys.readouterr().err
+
+
 def test_scan_row_count_and_header(tmp_path):
     out = tmp_path / "scan.csv"
     assert run(["scan", "--max", "200", "--out", str(out)]) == 0

@@ -1,11 +1,15 @@
 import math
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multsub import multgroup as mg
+from multsub import sieve
 from multsub.partitions import Partition, count_subpartitions
 from multsub.pgroup import PGroupType, subgroup_count
 
@@ -37,6 +41,55 @@ def test_factorize_random_against_naive():
         assert mg.factorize(n) == factorize_naive(n)
     # large semiprime sanity
     assert mg.factorize(1000003 * 999983) == [(999983, 1), (1000003, 1)]
+
+
+def check_product(ps):
+    """factorize(prod ps) for primes ps certified by sympy (sympy.factorint
+    itself takes seconds on these semiprimes, minutes on some products)."""
+    assert mg.factorize(math.prod(ps)) == sorted(Counter(ps).items()), ps
+
+
+def primes_in(lo, hi):
+    return st.integers(lo, hi).map(sympy.nextprime)
+
+
+# Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1), all three factors prime
+CHERNICK = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 20000)
+            if all(sympy.isprime(a * k + 1) for a in (6, 12, 18))]
+
+
+@settings(max_examples=8, deadline=None)
+@given(primes_in(10**11, 10**12), primes_in(10**11, 10**12))
+def test_factorize_semiprimes(p, q):
+    check_product([p, q])
+
+
+@settings(max_examples=15, deadline=None)
+@given(primes_in(10**3, 10**9))
+def test_factorize_prime_squares(p):
+    check_product([p, p])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([561, 1105, 1729, 2465, 2821, 6601, 8911] + CHERNICK))
+def test_factorize_carmichael_against_sympy(n):
+    assert mg.factorize(n) == sorted(sympy.factorint(n).items()), n
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(primes_in(250_000, 350_000), min_size=10, max_size=12))
+def test_factorize_products_of_many_primes(ps):
+    check_product(ps)
+
+
+def test_factorize_refuses_uncertified_primes():
+    big = sympy.nextprime(sieve.IS_PRIME_LIMIT)
+    for n in (big, 6 * big, 2**89 - 1):
+        with pytest.raises(ValueError, match="cannot certify"):
+            mg.factorize(n)
+    # composite cofactors above the limit still split
+    q = sympy.nextprime(10**12)
+    check_product([q, sympy.nextprime(sieve.IS_PRIME_LIMIT // q)])
 
 
 def test_omega_q_examples():
@@ -181,6 +234,56 @@ def test_oracle_subgroups_are_canonical():
 def test_oracle_cap():
     with pytest.raises(mg.OracleCapError):
         mg.enumerate_subgroups_oracle(10000, cap=512)
+
+
+def test_oracle_cap_checked_before_listing_units(monkeypatch):
+    monkeypatch.setattr(mg, "units", lambda n: pytest.fail("units listed"))
+    with pytest.raises(mg.OracleCapError):
+        mg.enumerate_subgroups_oracle(10**12 + 39)
+
+
+def all_elements_closure(elements, mul, identity):
+    """Reference search: extend each found subgroup by every element."""
+    base = frozenset([identity])
+    found, queue = {base}, [base]
+    while queue:
+        H = queue.pop()
+        for g in elements:
+            if g not in H:
+                K = mg._closure(H, g, mul)
+                if K not in found:
+                    found.add(K)
+                    queue.append(K)
+    return sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t))
+
+
+def test_oracle_matches_all_elements_search():
+    for n in range(1, 121):
+        ref = all_elements_closure(mg.units(n), lambda a, b: a * b % n, 1 % n)
+        assert mg.enumerate_subgroups_oracle(n) == ref, n
+
+
+@pytest.mark.parametrize("orders", [(6,), (12,), (2, 6), (2, 10), (3, 6), (4, 6),
+                                    (2, 2, 6), (6, 6)])
+def test_cyclic_join_closure_on_mixed_abelian_groups(orders):
+    elements = list(product(*(range(o) for o in orders)))
+    index = {x: i for i, x in enumerate(elements)}
+    table = [[index[tuple((u + v) % o for u, v, o in zip(a, b, orders))]
+              for b in elements] for a in elements]
+    mul = lambda a, b: table[a][b]  # noqa: E731
+    ids = range(len(elements))
+    ref = all_elements_closure(ids, mul, 0)
+    assert mg.closure_subgroup_enumeration(ids, mul, 0) == ref
+    # the cap refuses exactly when there are more subgroups than it allows
+    assert len(mg.closure_subgroup_enumeration(ids, mul, 0, max_subgroups=len(ref))) == len(ref)
+    with pytest.raises(mg.OracleCapError):
+        mg.closure_subgroup_enumeration(ids, mul, 0, max_subgroups=len(ref) - 1)
+
+
+def test_isoclass_oracle_reuses_enumeration():
+    for n in (1, 8, 16, 63, 105):
+        subs = mg.enumerate_subgroups_oracle(n)
+        assert mg.classify_isoclasses_oracle(n, subs=subs) == mg.count_subgroup_isoclasses(n)
 
 
 def test_formula_matches_oracle_small():

@@ -15,6 +15,10 @@ def test_is_prime():
     assert not sieve.is_prime(561)        # Carmichael number
     assert not sieve.is_prime(3215031751)  # strong pseudoprime to first 4 bases
     assert sieve.is_prime(10**18 + 9)
+    # least strong pseudoprime to the first 12 prime bases; base 41 rejects it
+    assert not sieve.is_prime(318665857834031151167461)
+    # least strong pseudoprime to the first 13: where the test stops being exact
+    assert sieve.is_prime(sieve.IS_PRIME_LIMIT)
 
 
 def test_primes_up_to():
