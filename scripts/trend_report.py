@@ -42,7 +42,9 @@ def main():
     args = parser.parse_args()
     xs = [int(float(s)) for s in args.xs.split(",")]
 
-    c_est = constants.compute_C(10**6)
+    primes = sieve.primes_up_to(10**6)
+    c_est = constants.compute_C(constants.compute_A0(10**6, primes),
+                                constants.compute_B(10**6, primes))
     print(f"variance constant C = {c_est.value:.6f} (tail {c_est.tail_bound:.1e})\n")
 
     for x in xs:

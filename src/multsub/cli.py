@@ -89,7 +89,7 @@ def cmd_moments(args) -> int:
     table = sieve.build(args.x)
     hs = list(range(1, args.h_max + 1))
     ms = ekstats.surrogate_moments(hs, args.x, table)
-    c = constants_mod.compute_C(10**6).value
+    c = constants_mod.normalization()[1]
     ll3 = math.log(math.log(args.x)) ** 3
     rows = ["h,x,M_h,normalized"]
     for h in hs:
@@ -102,18 +102,19 @@ def cmd_moments(args) -> int:
 def cmd_constants(args) -> int:
     primes = sieve.primes_up_to(args.prime_limit)
     a0 = constants_mod.compute_A0(args.prime_limit, primes)
-    b_rep = constants_mod.compute_B_report(args.prime_limit, primes)
-    c = constants_mod.compute_C(args.prime_limit, primes)
-    checks = constants_mod.infinite_sum_checks(args.prime_limit, args.X, primes)
+    b = constants_mod.compute_B(args.prime_limit, primes)
+    b_rep = constants_mod.compute_B_report(b, primes)
+    c = constants_mod.compute_C(a0, b)
+    checks = constants_mod.infinite_sum_checks(a0, b, args.X)
     obj = {
         "prime_limit": args.prime_limit,
         "A0": a0.value,
-        "A": a0.value + math.log(2) / 2,
-        "B": b_rep["B_series"],
+        "A": constants_mod.compute_A(a0).value,
+        "B": b.value,
         "C": c.value,
         "tails": {
             "A0": a0.tail_bound,
-            "B": b_rep["tail_bound"],
+            "B": b.tail_bound,
             "C": c.tail_bound,
         },
         "B_printed_vs_derived_delta": b_rep["B_closed_uncorrected"] - b_rep["B_series"],

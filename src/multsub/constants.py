@@ -1,10 +1,13 @@
 """Numerical evaluation of the mean and variance constants for log G(n).
 
-All four constants are prime sums:
+Two of the constants are prime sums, and the other two are built from them:
 
     A0 = (1/4) sum_p p^2 log p / ((p-1)^3 (p+1)),      A = A0 + (log 2)/2,
     B  = (1/4) sum_p (per-prime same-base correction),
     C  = (log 2)^2/3 + 2 A0 log 2 + 4 A0^2 + B.
+
+Only compute_A0 and compute_B sum over primes; compute_A, compute_C,
+compute_B_report and infinite_sum_checks take their estimates.
 
 B is evaluated two ways: from the power-series derivation (authoritative
 here) and from the degree-7 closed-form term whose numerator reads
@@ -40,9 +43,9 @@ def _as_primes(prime_limit: int, primes: np.ndarray | None) -> np.ndarray:
     return primes[primes <= prime_limit]
 
 
-def a0_term(p: float) -> float:
-    """Per-prime term of A0 (the 1/4 included)."""
-    return 0.25 * p * p * math.log(p) / ((p - 1) ** 3 * (p + 1))
+def a0_term(p):
+    """Per-prime term of A0 (the 1/4 included), for a prime or an array of them."""
+    return 0.25 * p * p * np.log(p) / ((p - 1) ** 3 * (p + 1))
 
 
 def compute_A0(prime_limit: int, primes: np.ndarray | None = None) -> ConstantEstimate:
@@ -50,8 +53,7 @@ def compute_A0(prime_limit: int, primes: np.ndarray | None = None) -> ConstantEs
     if prime_limit < 100:
         raise ValueError("prime_limit must be at least 100")
     ps = _as_primes(prime_limit, primes).astype(np.float64)
-    terms = 0.25 * ps * ps * np.log(ps) / ((ps - 1) ** 3 * (ps + 1))
-    value = math.fsum(terms.tolist())
+    value = math.fsum(a0_term(ps).tolist())
     # term(t) <= 0.25 (1 - 1/P)^(-3) log t / t^2  for t >= P, and the terms
     # decrease, so the prime tail is below the integral over t > P.
     fudge = (1 - 1 / prime_limit) ** -3
@@ -59,10 +61,9 @@ def compute_A0(prime_limit: int, primes: np.ndarray | None = None) -> ConstantEs
     return ConstantEstimate(value, prime_limit, tail)
 
 
-def compute_A(prime_limit: int, primes: np.ndarray | None = None) -> ConstantEstimate:
+def compute_A(a0: ConstantEstimate) -> ConstantEstimate:
     """A = A0 + (log 2)/2."""
-    a0 = compute_A0(prime_limit, primes)
-    return ConstantEstimate(a0.value + LOG2 / 2, prime_limit, a0.tail_bound)
+    return ConstantEstimate(a0.value + LOG2 / 2, a0.prime_limit, a0.tail_bound)
 
 
 def b_term_series(p: int) -> float:
@@ -119,36 +120,45 @@ def compute_B(prime_limit: int, primes: np.ndarray | None = None) -> ConstantEst
     return ConstantEstimate(value, prime_limit, _b_tail(prime_limit))
 
 
-def compute_B_report(prime_limit: int, primes: np.ndarray | None = None) -> dict:
-    """Both B evaluations plus per-prime and aggregate discrepancies."""
-    ps = [int(p) for p in _as_primes(prime_limit, primes)]
-    series = math.fsum(b_term_series(p) for p in ps)
+def compute_B_report(b: ConstantEstimate, primes: np.ndarray | None = None) -> dict:
+    """The series estimate b against both closed forms summed over the same
+    primes, plus per-prime and aggregate discrepancies."""
+    ps = [int(p) for p in _as_primes(b.prime_limit, primes)]
     closed = math.fsum(b_term_closed(p) for p in ps)
     uncorrected = math.fsum(b_term_closed_uncorrected(p) for p in ps)
     per_prime = max(abs(b_term_series(p) - b_term_closed(p)) for p in ps[:2000])
     return {
-        "B_series": series,
+        "B_series": b.value,
         "B_closed_corrected": closed,
         "B_closed_uncorrected": uncorrected,
         "max_per_prime_delta": per_prime,
-        "tail_bound": _b_tail(prime_limit),
-        "prime_limit": prime_limit,
+        "tail_bound": b.tail_bound,
+        "prime_limit": b.prime_limit,
     }
 
 
-def compute_C(prime_limit: int, primes: np.ndarray | None = None) -> ConstantEstimate:
+def compute_C(a0: ConstantEstimate, b: ConstantEstimate) -> ConstantEstimate:
     """C = (log 2)^2/3 + 2 A0 log 2 + 4 A0^2 + B, with propagated tails."""
-    a0 = compute_A0(prime_limit, primes)
-    b = compute_B(prime_limit, primes)
-    value = assemble_C(a0.value, b.value)
     a0_hi = a0.value + a0.tail_bound
     tail = (2 * LOG2 + 8 * a0_hi) * a0.tail_bound + b.tail_bound
-    return ConstantEstimate(value, prime_limit, tail)
+    return ConstantEstimate(assemble_C(a0.value, b.value), a0.prime_limit, tail)
 
 
 def assemble_C(a0: float, b: float) -> float:
     """The defining combination of A0 and B."""
     return LOG2**2 / 3 + 2 * a0 * LOG2 + 4 * a0 * a0 + b
+
+
+NORMALIZATION_PRIME_LIMIT = 10**6
+
+
+def normalization() -> tuple[float, float]:
+    """(A, C) at NORMALIZATION_PRIME_LIMIT: the coefficients of (loglog n)^2
+    and (loglog n)^3 in the mean and variance of log G(n)."""
+    primes = primes_up_to(NORMALIZATION_PRIME_LIMIT)
+    a0 = compute_A0(NORMALIZATION_PRIME_LIMIT, primes)
+    b = compute_B(NORMALIZATION_PRIME_LIMIT, primes)
+    return compute_A(a0).value, compute_C(a0, b).value
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +211,17 @@ def double_prime_power_sum(x_limit: float, brute: bool = False) -> float:
     return 0.25 * (single * single - same_base_factored + same_base_true)
 
 
-def infinite_sum_checks(prime_limit: int, x_limit: float,
-                        primes: np.ndarray | None = None) -> dict:
+def infinite_sum_checks(a0: ConstantEstimate, b: ConstantEstimate, x_limit: float) -> dict:
     """Evaluate the truncated prime-power sums and report their distance from
-    A0 and 4 A0^2 + B (computed at prime_limit)."""
+    the estimates of A0 and 4 A0^2 + B."""
     if x_limit < 10:
         raise ValueError("x_limit must be at least 10")
-    a0 = compute_A0(prime_limit, primes)
-    b = compute_B(prime_limit, primes)
     s1 = single_prime_power_sum(x_limit)
     s2 = double_prime_power_sum(x_limit)
     target2 = 4 * a0.value**2 + b.value
     return {
         "X": x_limit,
-        "prime_limit": prime_limit,
+        "prime_limit": a0.prime_limit,
         "single_sum": s1,
         "single_target": a0.value,
         "single_diff": s1 - a0.value,

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import multgroup
+from . import constants, multgroup
 from .sieve import FunctionTable, prime_power_list, primes_up_to
 
 LOG2 = math.log(2)
@@ -26,6 +26,8 @@ OMEGA0 = 0  # function id for omega(phi(n))
 E_E = math.e**math.e
 
 _CHUNK = 1 << 20
+
+_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, as Python floats
 
 
 def _check_function_id(q: int) -> None:
@@ -92,17 +94,13 @@ def _g_values(q: int, ps: np.ndarray, table: FunctionTable) -> np.ndarray:
 
 
 def _float_state(q: int, x: float, table: FunctionTable):
-    key = ("ek_state", q, float(x))
-    got = table._cache.get(key)
-    if got is None:
-        ps = table.primes[table.primes <= x]
-        g = _g_values(q, ps, table)
-        if q != OMEGA0:  # keep only the residue class, where g = 1
-            ps, g = ps[g != 0], g[g != 0]
-        pf = ps.astype(np.float64)
-        got = (ps.astype(np.int64), g, 1.0 / pf)
-        table._cache[key] = got
-    return got
+    """The primes p <= x (for q != 0 only those with g(p) = 1), their g
+    values and their reciprocals."""
+    ps = table.primes[table.primes <= x]
+    g = _g_values(q, ps, table)
+    if q != OMEGA0:  # keep only the residue class, where g = 1
+        ps, g = ps[g != 0], g[g != 0]
+    return ps, g, 1.0 / ps.astype(np.float64)
 
 
 def mu(q: int, x: float, table: FunctionTable | None = None, exact: bool = False):
@@ -285,24 +283,12 @@ def ks_distance_normal(samples: np.ndarray) -> float:
     if n == 0:
         raise ValueError("need at least one sample")
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    d = 0.0
-    for i, v in enumerate(s):
-        cdf = 0.5 * (1.0 + math.erf(v * inv_sqrt2))
-        d = max(d, cdf - i / n, (i + 1) / n - cdf)
-    return d
-
-
-def _default_g_coefficients() -> tuple[float, float]:
-    from . import constants
-
-    a0 = constants.compute_A0(10**6).value
-    c = constants.compute_C(10**6).value
-    return a0 + LOG2 / 2.0, c
+    cdf = 0.5 * (1.0 + _erf(s * inv_sqrt2).astype(np.float64))
+    i = np.arange(n)
+    return max(0.0, float(np.max(cdf - i / n)), float(np.max((i + 1) / n - cdf)))
 
 
 def distribution_report(x: int, which: str, table: FunctionTable,
-                        mean_coeff: float | None = None,
-                        var_coeff: float | None = None,
                         return_samples: bool = False):
     """Normalized samples of log G(n) (or log I(n)) for e^e < n <= x, their
     empirical moments up to order 4, and the KS distance to the standard
@@ -314,11 +300,10 @@ def distribution_report(x: int, which: str, table: FunctionTable,
         raise ValueError("which must be 'G' or 'I'")
     if table.N < x:
         raise ValueError("table must cover x")
-    if mean_coeff is None or var_coeff is None:
-        if which == "G":
-            mean_coeff, var_coeff = _default_g_coefficients()
-        else:
-            mean_coeff, var_coeff = LOG2 / 2.0, LOG2 / 3.0
+    if which == "G":
+        mean_coeff, var_coeff = constants.normalization()
+    else:
+        mean_coeff, var_coeff = LOG2 / 2.0, LOG2 / 3.0
 
     n_min = 16  # smallest integer above e^e
     logs = multgroup.log_counts(table, x)[0 if which == "G" else 1].tolist()

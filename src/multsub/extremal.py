@@ -64,8 +64,7 @@ def theta_progression(v_limit: float, p: int, primes: np.ndarray | None = None) 
     return float(np.sum(np.log(qs.astype(np.float64)))) if len(qs) else 0.0
 
 
-def construct_G_extremal(x: float, bv_exponent: int = 0,
-                         table: FunctionTable | None = None) -> ExtremalRecord:
+def construct_G_extremal(x: float, bv_exponent: int = 0) -> ExtremalRecord:
     """Build n < x with one heavily populated prime progression, making
     log G(n) large: choose a prime p from (Q, 2Q) whose progression 1 mod p
     is closest to its expected weight up to V, then take n as the product of
@@ -108,17 +107,16 @@ def construct_G_extremal(x: float, bv_exponent: int = 0,
         n *= q
         log_n += math.log(q)
         fact.append((q, 1))
-    g = multgroup.subgroup_counts(n, table, fact)[0]
+    g = multgroup.subgroup_counts(n, fact=fact)[0]
     value = math.log(g)
     return ExtremalRecord(n, value, _normalized(value, log_n, "G"), "construction")
 
 
-def construct_I_extremal(x: float, candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-                         table: FunctionTable | None = None) -> ExtremalRecord:
+def construct_I_extremal(x: float) -> ExtremalRecord:
     """Build a prime q < x with many primes dividing q - 1, making I(q) large:
     q is the smallest prime = 1 (mod m) for m the product of all primes up to
     U = (log x)/5 - loglog x.  The search walks q = 1 + k m and fails loudly
-    past the candidate cap."""
+    past DEFAULT_CANDIDATE_CAP candidates."""
     if x < 10**6:
         raise ValueError("x must be at least 10^6")
     log_x = math.log(x)
@@ -127,16 +125,16 @@ def construct_I_extremal(x: float, candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     for p in primes_up_to(u_limit):
         m *= int(p)
     q = 0
-    for k in range(1, candidate_cap + 1):
+    for k in range(1, DEFAULT_CANDIDATE_CAP + 1):
         cand = 1 + k * m
         if cand >= 2 and is_prime(cand):
             q = cand
             break
     if q == 0:
         raise ConstructionFailedError(
-            f"no prime found in 1 + k*{m} within {candidate_cap} candidates"
+            f"no prime found in 1 + k*{m} within {DEFAULT_CANDIDATE_CAP} candidates"
         )
-    value = math.log(multgroup.subgroup_counts(q, table)[1])
+    value = math.log(multgroup.subgroup_counts(q)[1])
     return ExtremalRecord(q, value, _normalized(value, math.log(q), "I"), "construction")
 
 

@@ -32,10 +32,11 @@ def factorize(n: int, table: FunctionTable | None = None) -> list[tuple[int, int
     """Exact prime factorization as (prime, exponent) pairs, primes ascending.
 
     Uses the table's smallest-prime-factor chain when available, else trial
-    division below 1000, then Brent's variant of Pollard's rho and
-    `sieve.is_prime`.  Raises ValueError for a probable prime of at least
-    `sieve.IS_PRIME_LIMIT`, where that test stops being exact, and when rho
-    runs out of steps (two prime factors both above about 1e13).
+    division below 1000, then `sieve.is_prime`, an integer square root for
+    perfect squares and Brent's variant of Pollard's rho for the rest.
+    Raises ValueError for a probable prime of at least `sieve.IS_PRIME_LIMIT`,
+    where that test stops being exact, and when rho runs out of steps (two
+    prime factors both above about 1e13).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -71,7 +72,8 @@ def factorize(n: int, table: FunctionTable | None = None) -> list[tuple[int, int
                     raise ValueError(f"cannot certify {x} as prime: at least {sieve.IS_PRIME_LIMIT}")
                 big.append(x)
             else:
-                f = _rho_factor(x)
+                r = math.isqrt(x)  # a square splits into two copies of its root
+                f = r if r * r == x else _rho_factor(x)
                 rest += [f, x // f]
         return out + [(p, len(list(g))) for p, g in groupby(sorted(big))]
     if m > 1:

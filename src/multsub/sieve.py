@@ -9,7 +9,7 @@ construction the table is immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -91,16 +91,7 @@ class FunctionTable:
     phi: np.ndarray            # Euler totient, int32
     omega_phi: np.ndarray      # omega(phi(n)), uint8
     bigomega_phi: np.ndarray   # Omega(phi(n)), uint8
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def primes(self) -> np.ndarray:
-        got = self._cache.get("primes")
-        if got is None:
-            idx = np.arange(self.N + 1, dtype=np.int32)
-            got = np.flatnonzero(self.spf == idx)[1:].astype(np.int64)  # drop 0
-            self._cache["primes"] = got
-        return got
+    primes: np.ndarray         # the primes <= N, ascending, int64
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """Exact factorization of 1 <= n <= N via the smallest-prime-factor chain."""
@@ -157,10 +148,8 @@ def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
     omega_phi[0] = 0
     bigomega_phi[0] = 0
 
-    table = FunctionTable(N=N, spf=spf, phi=phi, omega_phi=omega_phi,
-                          bigomega_phi=bigomega_phi)
-    table._cache["primes"] = primes
-    return table
+    return FunctionTable(N=N, spf=spf, phi=phi, omega_phi=omega_phi,
+                         bigomega_phi=bigomega_phi, primes=primes)
 
 
 def omega_q_table(table: FunctionTable, q: int) -> np.ndarray:

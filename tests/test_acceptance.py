@@ -30,6 +30,12 @@ def report(num: str, label: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
+def _c_at_10m(table_10m) -> constants.ConstantEstimate:
+    primes = table_10m.primes
+    return constants.compute_C(constants.compute_A0(10**7, primes),
+                               constants.compute_B(10**7, primes))
+
+
 @pytest.fixture(scope="session")
 def table_1m():
     return sieve.build(10**6)
@@ -163,7 +169,7 @@ def test_criterion_04_gaussian_binomial_bound():
 
 
 def test_criterion_05a_constant_A(table_10m):
-    a = constants.compute_A(10**7, table_10m.primes)
+    a = constants.compute_A(constants.compute_A0(10**7, table_10m.primes))
     dev = abs(a.value - 0.72109)
     ok = report("05a", "|A - 0.72109| <= 2e-5 at prime limit 10^7",
                 dev <= 2e-5, f"A = {a.value:.8f}, dev = {dev:.2e}")
@@ -171,7 +177,8 @@ def test_criterion_05a_constant_A(table_10m):
 
 
 def test_criterion_05b_constant_B_coherence(table_10m):
-    rep = constants.compute_B_report(10**7, table_10m.primes)
+    primes = table_10m.primes
+    rep = constants.compute_B_report(constants.compute_B(10**7, primes), primes)
     dev = abs(rep["B_series"] - rep["B_closed_corrected"])
     ok = report("05b", "the two B evaluations agree within the reported tail",
                 dev <= rep["tail_bound"],
@@ -180,7 +187,7 @@ def test_criterion_05b_constant_B_coherence(table_10m):
 
 
 def test_criterion_05c_constant_C(table_10m):
-    c = constants.compute_C(10**7, table_10m.primes)
+    c = _c_at_10m(table_10m)
     dev = abs(c.value - 3.924)
     ok = report("05c", "|C - 3.924| <= 2e-3 at prime limit 10^7",
                 dev <= 2e-3, f"C = {c.value:.8f}, dev = {dev:.4f}")
@@ -278,7 +285,7 @@ def test_criterion_08a_moments_produced(table_100k, table_1m, table_10m):
 
 def test_criterion_08b_second_moment_scale(table_10m):
     x = 10**7
-    c = constants.compute_C(10**7, table_10m.primes).value
+    c = _c_at_10m(table_10m).value
     m2 = ekstats.surrogate_moment(2, float(x), table_10m)
     norm = m2 / (c * x * math.log(math.log(x)) ** 3)
     ok = report("08b", "normalized M_2 at x = 10^7 is positive and within 10x of 1",

@@ -3,7 +3,7 @@ import math
 import pytest
 import sympy
 
-from multsub import constants, sieve
+from multsub import cli, constants, sieve
 from multsub.calibration import SINGLE_SUM_TAIL_C
 
 LOG2 = math.log(2)
@@ -15,7 +15,7 @@ def test_a0_first_term():
 
 
 def test_a_matches_reference_value():
-    a = constants.compute_A(10**5)
+    a = constants.compute_A(constants.compute_A0(10**5))
     assert abs(a.value - 0.72109) <= 1e-4
     assert a.tail_bound < 1e-4
 
@@ -41,7 +41,7 @@ def test_b_forms_agree_numerically():
         assert constants.b_term_series(p) == pytest.approx(
             constants.b_term_closed(p), rel=1e-12
         )
-    rep = constants.compute_B_report(10**5)
+    rep = constants.compute_B_report(constants.compute_B(10**5))
     assert abs(rep["B_series"] - rep["B_closed_corrected"]) <= rep["tail_bound"]
     assert rep["max_per_prime_delta"] < 1e-15
     # the duplicated -p^3 reading is materially different
@@ -76,9 +76,8 @@ def test_b_term_series_exact_matches_float():
 
 def test_c_assembly():
     assert constants.assemble_C(0.0, 0.0) == pytest.approx(LOG2**2 / 3)
-    c1 = constants.compute_C(10**4).value
-    c2 = constants.compute_C(10**5).value
-    c3 = constants.compute_C(10**6).value
+    c1, c2, c3 = (constants.compute_C(constants.compute_A0(p), constants.compute_B(p)).value
+                  for p in (10**4, 10**5, 10**6))
     assert c1 < c2 < c3  # all truncated terms are positive
 
 
@@ -115,15 +114,47 @@ def test_single_sum_tail_scaling():
 
 
 def test_infinite_sum_checks_report():
-    rep = constants.infinite_sum_checks(10**5, 10**3)
+    a0, b = constants.compute_A0(10**5), constants.compute_B(10**5)
+    rep = constants.infinite_sum_checks(a0, b, 10**3)
     assert rep["single_sum"] == pytest.approx(constants.single_prime_power_sum(10**3))
     assert rep["double_sum"] == pytest.approx(constants.double_prime_power_sum(10**3))
     assert abs(rep["single_diff"]) < 0.01
     assert abs(rep["double_diff"]) < 0.01
     with pytest.raises(ValueError):
-        constants.infinite_sum_checks(10**5, 5)
+        constants.infinite_sum_checks(a0, b, 5)
 
 
 def test_validation():
     with pytest.raises(ValueError):
         constants.compute_A0(50)
+
+
+def test_constants_command_sums_each_series_once(monkeypatch, tmp_path):
+    """`constants` sums A0 once and B once (plus the first 2000 primes of the
+    per-prime comparison), however many quantities it builds from them."""
+    calls = {"a0": 0, "b": 0}
+    a0_term, b_term_series = constants.a0_term, constants.b_term_series
+
+    def counted_a0(p):
+        calls["a0"] += 1
+        return a0_term(p)
+
+    def counted_b(p):
+        calls["b"] += 1
+        return b_term_series(p)
+
+    monkeypatch.setattr(constants, "a0_term", counted_a0)
+    monkeypatch.setattr(constants, "b_term_series", counted_b)
+    prime_limit = 10**4
+    argv = ["constants", "--prime-limit", str(prime_limit), "--X", "100",
+            "--out", str(tmp_path / "c.json")]
+    assert cli.run(argv) == 0
+    assert calls["a0"] == 1
+    assert calls["b"] <= len(sieve.primes_up_to(prime_limit)) + 2000
+
+
+def test_normalization_pins_moments_and_distribution():
+    # (A, C) at 10^6 primes: `moments` and `distribution --which G` print
+    # values scaled by these, so any change here changes their bytes.
+    assert constants.NORMALIZATION_PRIME_LIMIT == 10**6
+    assert constants.normalization() == (0.7210897254115849, 1.2967338448823222)

@@ -213,6 +213,28 @@ def test_ks_distance():
     assert 0.0 <= ekstats.ks_distance_normal(qs) <= 1.0
 
 
+def ks_distance_loop(samples):
+    """The per-sample loop that ks_distance_normal vectorizes."""
+    s = np.sort(np.asarray(samples, dtype=np.float64))
+    n = len(s)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    d = 0.0
+    for i, v in enumerate(s):
+        cdf = 0.5 * (1.0 + math.erf(v * inv_sqrt2))
+        d = max(d, cdf - i / n, (i + 1) / n - cdf)
+    return d
+
+
+def test_ks_distance_matches_loop():
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 17, 6000, 10**5):
+        samples = rng.normal(size=size)
+        for shift in (0.0, 0.3, -2.0):
+            assert ekstats.ks_distance_normal(samples + shift) == ks_distance_loop(samples + shift)
+    with pytest.raises(ValueError):
+        ekstats.ks_distance_normal(np.zeros(0))
+
+
 def test_distribution_report_goldens(table_10k):
     rep = ekstats.distribution_report(10**4, "G", table_10k)
     assert rep.sample_count == 10**4 - 15

@@ -92,6 +92,17 @@ def test_factorize_refuses_uncertified_primes():
     check_product([q, sympy.nextprime(sieve.IS_PRIME_LIMIT // q)])
 
 
+def test_factorize_splits_squares_without_rho(monkeypatch):
+    def no_rho(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(mg, "_rho_factor", no_rho)
+    p = 999999000001  # prime, near 1e12
+    assert mg.factorize(p**2) == [(p, 2)]
+    assert mg.factorize(p**4) == [(p, 4)]
+    assert mg.factorize(6 * p**2) == [(2, 1), (3, 1), (p, 2)]
+
+
 def test_omega_q_examples():
     assert mg.omega_q(12, 2) == 1
     assert mg.omega_q(1, 5) == 0
