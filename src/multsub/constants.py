@@ -66,12 +66,13 @@ def compute_A(a0: ConstantEstimate) -> ConstantEstimate:
     return ConstantEstimate(a0.value + LOG2 / 2, a0.prime_limit, a0.tail_bound)
 
 
-def b_term_series(p: int) -> float:
-    """Per-prime B term from the power-series derivation (the 1/4 included):
+def b_term_series(p):
+    """Per-prime B term from the power-series derivation (the 1/4 included),
+    for a prime or an array of them:
     (1/4)(log p)^2 [ p^3/(p-1)^3 * (1+x^2)/(1-x^2) * x^3/(1-x^3)
                      - p^4/(p-1)^4 * (x^2/(1-x^2))^2 ],   x = 1/p."""
     x = 1.0 / p
-    lp2 = math.log(p) ** 2
+    lp2 = np.log(p) ** 2
     first = (p / (p - 1.0)) ** 4 * (x * x / (1 - x * x)) ** 2
     second = (p / (p - 1.0)) ** 3 * ((1 + x * x) / (1 - x * x)) * (x**3 / (1 - x**3))
     return 0.25 * lp2 * (second - first)
@@ -115,8 +116,8 @@ def compute_B(prime_limit: int, primes: np.ndarray | None = None) -> ConstantEst
     """B truncated at prime_limit, from the series form."""
     if prime_limit < 100:
         raise ValueError("prime_limit must be at least 100")
-    ps = _as_primes(prime_limit, primes)
-    value = math.fsum(b_term_series(int(p)) for p in ps)
+    ps = _as_primes(prime_limit, primes).astype(np.float64)
+    value = math.fsum(b_term_series(ps).tolist())
     return ConstantEstimate(value, prime_limit, _b_tail(prime_limit))
 
 
@@ -126,7 +127,8 @@ def compute_B_report(b: ConstantEstimate, primes: np.ndarray | None = None) -> d
     ps = [int(p) for p in _as_primes(b.prime_limit, primes)]
     closed = math.fsum(b_term_closed(p) for p in ps)
     uncorrected = math.fsum(b_term_closed_uncorrected(p) for p in ps)
-    per_prime = max(abs(b_term_series(p) - b_term_closed(p)) for p in ps[:2000])
+    series = b_term_series(np.array(ps[:2000], dtype=np.float64)).tolist()
+    per_prime = max(abs(s - b_term_closed(p)) for s, p in zip(series, ps))
     return {
         "B_series": b.value,
         "B_closed_corrected": closed,

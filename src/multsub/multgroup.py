@@ -293,19 +293,97 @@ def count_subgroup_isoclasses(n: int, table: FunctionTable | None = None) -> int
     return subgroup_counts(n, table)[1]
 
 
+# Partition keys: alpha = (alpha_1, alpha_2, ...) is the base-32 number with
+# digit i equal to alpha_{i+1}; the column a_j(n) adds _KEY_DIGITS[a_j(n)] =
+# 1 + 32 + ... + 32^(a_j - 1).  For n < 2**31 every part is at most
+# lambda_p(n) < 31 and there are at most 10 parts, so keys stay below 2**60.
+_KEY_DIGITS = (32 ** np.arange(13, dtype=np.int64) - 1) // 31
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _conjugate_columns(primes: np.ndarray, N: int, p: int) -> list[np.ndarray]:
+    """[a_1, a_2, ...] over [0, N] with a_j(n) = omega_bar(n, p, j): omega_{p^j}
+    from the primes q = 1 (mod p^j), plus the boundary term of the p-power part
+    of n.  The list stops before the first column that is zero everywhere."""
+    cols = []
+    j = 1
+    while True:
+        a = sieve.prime_divisor_counts(primes[(primes - 1) % p**j == 0], N)
+        if p != 2:
+            own = (p ** (j + 1),)  # Z_{p^(e-1)} from p^e || n
+        elif j == 1:
+            own = (4, 8)  # Z_2 from 4 | n and Z_{2^(e-2)} from 8 | n
+        else:
+            own = (2 ** (j + 2),)
+        for d in own:
+            a[d::d] += 1
+        if not a.any():
+            return cols
+        cols.append(a)
+        j += 1
+
+
+def _key_partition(key: int) -> Partition:
+    """The partition whose parts are the base-32 digits of key."""
+    parts = []
+    while key:
+        key, part = divmod(key, 32)
+        parts.append(part)
+    return Partition(tuple(parts))
+
+
+def _checked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for int64 arrays of positive counts; raises where int64 would wrap."""
+    if np.any(a > _INT64_MAX // b):
+        raise OverflowError("a subgroup count exceeds the int64 range")
+    return a * b
+
+
+def _exact_logs(counts: np.ndarray) -> np.ndarray:
+    """math.log of each exact count, taken once per distinct value."""
+    values, inverse = np.unique(counts, return_inverse=True)
+    return np.array([math.log(v) for v in values.tolist()])[inverse]
+
+
 def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(log G(n), log I(n)) for 0 <= n <= N: two float64 arrays holding math.log
-    of the exact counts (0 at n = 0 and 1).  Each Sylow component (p, alpha)
-    is counted once per call."""
+    of the exact counts (0 at n = 0 and 1).
+
+    Only the p-Sylow components with p <= sqrt(N) can have rank 2 or more.
+    For each such p the conjugate columns omega_bar(n, p, j) are built for
+    all n at once; a cyclic component Z_{p^e} gives e + 1 to both counts, and
+    each distinct component of higher rank is counted once per call.  Above
+    sqrt(N) every prime dividing phi(n) is a cyclic factor Z_p and doubles
+    both counts; there are omega(phi(n)) minus the small ones of them.
+    """
     if not 1 <= N <= table.N:
         raise ValueError(f"need 1 <= N <= table.N = {table.N}, got {N}")
-    # per call, not per process: one call's work does not depend on earlier calls
-    memo = {}
-    logs = [(0.0, 0.0)] * (N + 1)
-    for n in range(2, N + 1):
-        parts = [x for q, e in table.factorize(n) for x in _prime_power_parts(q, e, table)]
-        logs[n] = tuple(map(math.log, _counts(_alphas(parts), memo)))
-    return tuple(np.array(logs).T.copy())
+    primes = table.primes[: np.searchsorted(table.primes, N, side="right")]
+    g = np.ones(N + 1, dtype=np.int64)
+    i = np.ones(N + 1, dtype=np.int64)
+    n_large = table.omega_phi[: N + 1].astype(np.int64)  # primes > sqrt(N) dividing phi(n)
+    for p in primes[primes <= math.isqrt(N)].tolist():
+        cols = _conjugate_columns(primes, N, p)
+        on = np.flatnonzero(cols[0])  # the n with p | phi(n)
+        n_large[on] -= 1
+        cols = [a[on] for a in cols]
+        f_g = sum(a > 0 for a in cols).astype(np.int64) + 1  # lambda_p(n) + 1
+        f_i = f_g.copy()
+        rank2 = np.flatnonzero(cols[0] >= 2)
+        if rank2.size:
+            keys = sum(_KEY_DIGITS[a[rank2]] for a in cols)
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            per_key = []
+            for key in distinct.tolist():
+                alpha = _key_partition(key)
+                per_key.append((subgroup_count(PGroupType(p, alpha)), count_subpartitions(alpha)))
+            per_key = np.array(per_key, dtype=np.int64)  # raises OverflowError past int64
+            f_g[rank2] = per_key[inverse, 0]
+            f_i[rank2] = per_key[inverse, 1]
+        g[on] = _checked_product(g[on], f_g)
+        i[on] = _checked_product(i[on], f_i)
+    doubling = np.left_shift(1, n_large)
+    return _exact_logs(_checked_product(g, doubling)), _exact_logs(_checked_product(i, doubling))
 
 
 # ---------------------------------------------------------------------------

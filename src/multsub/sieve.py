@@ -2,15 +2,16 @@
 
 The FunctionTable holds, for every n up to N: the smallest prime factor,
 Euler's totient, and the prime-divisor counts omega(phi(n)) and
-Omega(phi(n)).  Construction is one vectorized pass per prime; after
-construction the table is immutable and safe to share across threads.
+Omega(phi(n)).  Construction makes one vectorized pass per prime up to
+sqrt(N) and then one step over all n for the single prime factor above
+sqrt(N) that n may have; after construction the table is immutable and safe
+to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +27,6 @@ class MemoryBudgetError(ValueError):
     """Requested table would exceed the configured memory budget."""
 
 
-@lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < IS_PRIME_LIMIT (3.3e24);
     above it a True answer means only a strong probable prime."""
@@ -119,27 +119,42 @@ def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
         )
 
     spf = np.zeros(N + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(N) + 1):
+    root = math.isqrt(N)
+    for p in range(2, root + 1):
         if spf[p] == 0:
             view = spf[p * p :: p]
             view[view == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0) + 2  # exactly the primes
-    spf[rest] = rest
-    primes = rest.astype(np.int64)
+    primes = (np.flatnonzero(spf[2:] == 0) + 2).astype(np.int64, copy=False)  # exactly the primes
+    spf[primes] = primes
+    small = primes[: np.searchsorted(primes, root, side="right")].tolist()
 
+    # Only the primes p <= sqrt(N) get a slice each.  Dividing them out leaves
+    # in rem the one prime factor of n above sqrt(N), to the first power, or 1.
     phi = np.arange(N + 1, dtype=np.int32)
-    for p in primes:
+    for p in small:
         phi[p::p] -= phi[p::p] // p
+    rem = np.arange(N + 1, dtype=np.int32)
+    rem[0] = 1
+    for p in small:
+        q = p
+        while q <= N:
+            rem[q::q] //= p
+            q *= p
+    big = rem > 1
+    np.floor_divide(phi, rem, out=rem)
+    np.subtract(phi, rem, out=phi, where=big)
+    del rem  # freed before the omega columns: the peak stays under 16 bytes per entry
 
-    omega = np.zeros(N + 1, dtype=np.uint8)
-    for p in primes:
+    omega = big.astype(np.uint8)
+    for p in small:
         omega[p::p] += 1
-    bigomega = np.zeros(N + 1, dtype=np.uint8)
-    for p in primes:
-        q = int(p)
+    bigomega = big.astype(np.uint8)
+    del big
+    for p in small:
+        q = p
         while q <= N:
             bigomega[q::q] += 1
-            q *= int(p)
+            q *= p
 
     phi[0] = 0
     phi[1] = 1
@@ -152,13 +167,18 @@ def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
                          bigomega_phi=bigomega_phi, primes=primes)
 
 
+def prime_divisor_counts(qs: np.ndarray, N: int) -> np.ndarray:
+    """uint8 array over [0, N] with entry n = the number of primes in qs
+    dividing n; one slice per prime."""
+    arr = np.zeros(N + 1, dtype=np.uint8)
+    for q in qs.tolist():
+        arr[q::q] += 1
+    return arr
+
+
 def omega_q_table(table: FunctionTable, q: int) -> np.ndarray:
     """Array over [0, N] with entry n = omega_q(n), the number of distinct
-    primes p | n with p = 1 (mod q).  Built by iterating primes in the
-    residue class and incrementing their multiples."""
+    primes p | n with p = 1 (mod q)."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    arr = np.zeros(table.N + 1, dtype=np.uint8)
-    for p in table.primes[(table.primes - 1) % q == 0]:
-        arr[p::p] += 1
-    return arr
+    return prime_divisor_counts(table.primes[(table.primes - 1) % q == 0], table.N)

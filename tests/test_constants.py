@@ -130,8 +130,9 @@ def test_validation():
 
 
 def test_constants_command_sums_each_series_once(monkeypatch, tmp_path):
-    """`constants` sums A0 once and B once (plus the first 2000 primes of the
-    per-prime comparison), however many quantities it builds from them."""
+    """`constants` sums A0 once and B once (plus one array of the first 2000
+    primes for the per-prime comparison), however many quantities it builds
+    from them."""
     calls = {"a0": 0, "b": 0}
     a0_term, b_term_series = constants.a0_term, constants.b_term_series
 
@@ -150,7 +151,7 @@ def test_constants_command_sums_each_series_once(monkeypatch, tmp_path):
             "--out", str(tmp_path / "c.json")]
     assert cli.run(argv) == 0
     assert calls["a0"] == 1
-    assert calls["b"] <= len(sieve.primes_up_to(prime_limit)) + 2000
+    assert calls["b"] == 2
 
 
 def test_normalization_pins_moments_and_distribution():
@@ -158,3 +159,31 @@ def test_normalization_pins_moments_and_distribution():
     # values scaled by these, so any change here changes their bytes.
     assert constants.NORMALIZATION_PRIME_LIMIT == 10**6
     assert constants.normalization() == (0.7210897254115849, 1.2967338448823222)
+
+
+# (B, C) as the scalar math.log loop summed them, at the `constants` prime
+# limits of the benchmark (500000 + 1000 k), at 10^6 and at 10^7.  The array
+# terms may differ from the scalar ones in the last bit; the fsum must not.
+_PINNED_B_C = {
+    500_000: (0.05634389206085837, 1.2967327508432913),
+    501_000: (0.0563438920608855, 1.2967327553777228),
+    502_000: (0.05634389206091077, 1.29673275960951),
+    503_000: (0.05634389206093352, 1.2967327634259436),
+    504_000: (0.056343892060959175, 1.2967327677378526),
+    505_000: (0.05634389206098469, 1.2967327720335828),
+    506_000: (0.0563438920610124, 1.2967327767079095),
+    507_000: (0.056343892061037626, 1.2967327809707023),
+    10**6: (0.056343892065873036, 1.2967338448823222),
+    10**7: (0.05634389206764224, 1.2967348309607074),
+}
+
+
+def test_b_and_c_pinned_bit_for_bit():
+    primes = sieve.primes_up_to(10**7)
+    for limit, pinned in _PINNED_B_C.items():
+        b = constants.compute_B(limit, primes)
+        c = constants.compute_C(constants.compute_A0(limit, primes), b)
+        assert (b.value, c.value) == pinned, limit
+    rep = constants.compute_B_report(constants.compute_B(503_000, primes), primes)
+    assert rep["max_per_prime_delta"] == 6.938893903907228e-18
+    assert type(rep["max_per_prime_delta"]) is float

@@ -198,6 +198,27 @@ def test_log_counts_match_definitional_products(table_10k):
         mg.log_counts(t, 10**4 + 1)
 
 
+def test_log_counts_bit_for_bit_against_subgroup_counts(table_100k):
+    t = table_100k
+    log_g, log_i = mg.log_counts(t, 10**5)
+    bad = [n for n in range(1, 10**5 + 1)
+           if (log_g[n], log_i[n]) != tuple(map(math.log, mg.subgroup_counts(n, t)))]
+    assert not bad, bad[:10]
+    # a shorter range changes which primes count as small, not the values
+    for N in (*range(1, 40), 99, 100, 101, 1680, 10**4):
+        short_g, short_i = mg.log_counts(t, N)
+        assert np.array_equal(short_g, log_g[: N + 1]), N
+        assert np.array_equal(short_i, log_i[: N + 1]), N
+
+
+def test_log_counts_overflow_guard():
+    # the products stay exact: one that would wrap int64 raises instead
+    with pytest.raises(OverflowError):
+        mg._checked_product(np.array([3, 2**62], dtype=np.int64), np.array([5, 2]))
+    top = mg._checked_product(np.array([2**62 - 1], dtype=np.int64), np.array([2]))
+    assert top.tolist() == [2**63 - 2]
+
+
 def test_sylow_decomposition_consistency(table_10k):
     for n in range(1, 2001):
         dec = mg.sylow_decomposition(n, table_10k)

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,3 +122,63 @@ def test_phi_multiplicative_on_coprime_pairs(table_10k, a, b):
     if math.gcd(a, b) != 1:
         return
     assert int(table_10k.phi[a * b]) == int(table_10k.phi[a]) * int(table_10k.phi[b])
+
+
+def _build_per_prime(N):
+    """The construction `build` replaced, kept as the reference: one slice per
+    prime <= N for each of phi, omega and Omega."""
+    spf = np.zeros(N + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(N) + 1):
+        if spf[p] == 0:
+            view = spf[p * p :: p]
+            view[view == 0] = p
+    rest = np.flatnonzero(spf[2:] == 0) + 2
+    spf[rest] = rest
+    primes = rest.astype(np.int64)
+    phi = np.arange(N + 1, dtype=np.int32)
+    for p in primes:
+        phi[p::p] -= phi[p::p] // p
+    omega = np.zeros(N + 1, dtype=np.uint8)
+    for p in primes:
+        omega[p::p] += 1
+    bigomega = np.zeros(N + 1, dtype=np.uint8)
+    for p in primes:
+        q = int(p)
+        while q <= N:
+            bigomega[q::q] += 1
+            q *= int(p)
+    phi[0] = 0
+    phi[1] = 1
+    omega_phi = omega[phi]
+    bigomega_phi = bigomega[phi]
+    omega_phi[0] = 0
+    bigomega_phi[0] = 0
+    return spf, phi, omega_phi, bigomega_phi, primes
+
+
+_SQUARE_EDGES = [m for p in range(2, 101) if sieve.is_prime(p) for m in (p * p - 1, p * p, p * p + 1)]
+
+
+@pytest.mark.parametrize("sizes", [range(2, 401), _SQUARE_EDGES, [10**5 + 3]],
+                         ids=["2..400", "p^2-1,p^2,p^2+1", "1e5+3"])
+def test_build_matches_per_prime_reference(sizes):
+    for N in sizes:
+        t = sieve.build(N)
+        got = (t.spf, t.phi, t.omega_phi, t.bigomega_phi, t.primes)
+        for name, a, b in zip(("spf", "phi", "omega_phi", "bigomega_phi", "primes"),
+                              got, _build_per_prime(N)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (N, name)
+
+
+def test_build_peak_memory_within_budget_rate():
+    # build refuses tables above 16 bytes per entry; its own peak allocation
+    # (numpy reports to tracemalloc) must stay within that rate
+    N = 200_000
+    tracemalloc.start()
+    try:
+        t = sieve.build(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.N == N
+    assert peak <= 16 * (N + 1), peak / (N + 1)
