@@ -13,24 +13,18 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 from . import constants as constants_mod
 from . import ekstats, extremal, multgroup, polyops, sieve
 
 
-def _out_stream(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
 def _emit(text: str, path: str | None) -> None:
-    stream, close = _out_stream(path)
-    try:
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", newline="") as stream:
         stream.write(text)
-    finally:
-        if close:
-            stream.close()
 
 
 def cmd_count(args) -> int:
@@ -39,13 +33,12 @@ def cmd_count(args) -> int:
         if n < 1:
             print(f"count: n must be positive, got {n}", file=sys.stderr)
             return 2
-        fact = multgroup.factorize(n)
-        dec = multgroup.sylow_decomposition(n, fact=fact)
+        dec = multgroup.sylow_decomposition(n)
         g, i = multgroup.subgroup_counts(n, dec=dec)
         obj = {
             "n": n,
-            "phi": str(math.prod(p**alpha.size for p, alpha in dec.components.items())),
-            "sylow": {str(p): str(alpha) for p, alpha in sorted(dec.components.items())},
+            "phi": str(math.prod(p**alpha.size for p, alpha in dec.items())),
+            "sylow": {str(p): str(alpha) for p, alpha in sorted(dec.items())},
             "G": str(g),
             "I": str(i),
         }
@@ -170,8 +163,6 @@ def cmd_verify(args) -> int:
     fibers_ok = True
     for k in (2, 4, 6):
         targets = {t.images: 0 for t in polyops.enumerate_two_to_one(k)}
-        from itertools import permutations
-
         for sigma in permutations(range(1, k + 1)):
             targets[polyops.psi(sigma).images] += 1
         fibers_ok &= set(targets.values()) == {2 ** (k // 2)}

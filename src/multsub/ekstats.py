@@ -185,21 +185,15 @@ def covariance(q1: int, q2: int, z: float, table: FunctionTable) -> float:
 # The quadratic surrogate for log G and its moments
 # ---------------------------------------------------------------------------
 
-def log_g_surrogate(n: int, x: float, table: FunctionTable | None = None) -> float:
+def log_g_surrogate(n: int, x: float) -> float:
     """log2 * omega(phi(n)) + (1/4) sum_{q <= cutoff} omega_q(n)^2 Lambda(q)."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > x:
         raise ValueError("requires n <= x")
-    qs = surrogate_prime_powers(x)
-    if table is not None and n <= table.N:
-        w0 = int(table.omega_phi[n])
-        fact = table.factorize(n) if n >= 2 else []
-    else:
-        fact = multgroup.factorize(n)
-        w0 = len(multgroup.factorize(multgroup.euler_phi(n)))
-    total = LOG2 * w0
-    for q, logp in qs:
+    fact = multgroup.factorize(n)
+    total = LOG2 * len(multgroup.factorize(multgroup.euler_phi(n)))
+    for q, logp in surrogate_prime_powers(x):
         wq = multgroup.omega_q(n, q, fact)
         total += 0.25 * logp * wq * wq
     return total

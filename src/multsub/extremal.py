@@ -165,6 +165,26 @@ class BoundCheckReport:
         return not self.g_violations and not self.i_violations
 
 
+def _i_cap(table: FunctionTable, N: int) -> np.ndarray:
+    """pi sqrt(2/3) * sum over p | phi(n) of sqrt(nu_p(phi(n))), for 0 <= n <= N
+    (0 where phi(n) = 1), with the terms added in ascending p.
+
+    For p <= sqrt(N), nu_p(phi(n)) is the sum of the conjugate columns of the
+    p-Sylow partition.  A prime above sqrt(N) divides phi(n) at most once, and
+    there are omega(phi(n)) minus the small ones of them."""
+    primes = table.primes[: np.searchsorted(table.primes, N, side="right")]
+    total = np.zeros(N + 1)
+    n_large = table.omega_phi[: N + 1].astype(np.int64)
+    for p in primes[primes <= math.isqrt(N)].tolist():
+        nu = sum(multgroup.conjugate_columns(primes, N, p))
+        on = np.flatnonzero(nu)
+        n_large[on] -= 1
+        total[on] += np.sqrt(nu[on].astype(np.float64))
+    for k in range(int(n_large.max(initial=0))):
+        total[n_large > k] += 1.0
+    return PI_SQRT_2_3 * total
+
+
 def upper_bound_check(N: int, table: FunctionTable,
                       slack: float = calibration.G_UPPER_BOUND_SLACK) -> BoundCheckReport:
     """Verify, for every n <= N, the two growth-rate upper bounds:
@@ -176,8 +196,7 @@ def upper_bound_check(N: int, table: FunctionTable,
     base = 0.25 * math.log(N) ** 2 / math.log(math.log(N))
     g_bound = base * (1 + slack)
     log_g, log_i = multgroup.log_counts(table, N)
-    i_cap = np.array([PI_SQRT_2_3 * sum(math.sqrt(e) for _, e in table.factorize(int(phi)))
-                      if phi > 1 else 0.0 for phi in table.phi[: N + 1]])
+    i_cap = _i_cap(table, N)
     return BoundCheckReport(
         N=N, g_bound=g_bound, slack=slack, max_log_g=float(log_g.max()),
         max_log_g_ratio=float((log_g / base).max()),

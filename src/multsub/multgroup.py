@@ -9,7 +9,6 @@ counts G(n) and I(n), and an independent closure-based enumeration oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
 
@@ -28,12 +27,11 @@ class OracleCapError(ValueError):
     """Closure enumeration refused: group or subgroup count too large."""
 
 
-def factorize(n: int, table: FunctionTable | None = None) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Exact prime factorization as (prime, exponent) pairs, primes ascending.
 
-    Uses the table's smallest-prime-factor chain when available, else trial
-    division below 1000, then `sieve.is_prime`, an integer square root for
-    perfect squares and Brent's variant of Pollard's rho for the rest.
+    Uses trial division below 1000, then `sieve.is_prime`, an integer square
+    root for perfect squares and Brent's variant of Pollard's rho for the rest.
     Raises ValueError for a probable prime of at least `sieve.IS_PRIME_LIMIT`,
     where that test stops being exact, and when rho runs out of steps (two
     prime factors both above about 1e13).
@@ -42,8 +40,6 @@ def factorize(n: int, table: FunctionTable | None = None) -> list[tuple[int, int
         raise ValueError(f"n must be positive, got {n}")
     if n == 1:
         return []
-    if table is not None and n <= table.N:
-        return table.factorize(n)
     out = []
     m = n
     for p in (2, 3):
@@ -111,12 +107,10 @@ def _rho_factor(n: int) -> int:
     raise ValueError(f"Pollard-Brent rho found no factor of {n} within its step budget")
 
 
-def euler_phi(n: int, table: FunctionTable | None = None) -> int:
+def euler_phi(n: int) -> int:
     """Euler's totient."""
-    if table is not None and n <= table.N:
-        return int(table.phi[n])
     phi = 1
-    for p, e in factorize(n, table):
+    for p, e in factorize(n):
         phi *= p ** (e - 1) * (p - 1)
     return phi
 
@@ -183,28 +177,19 @@ def lambda_p(n: int, p: int, fact: list[tuple[int, int]] | None = None) -> int:
     return max(own, best)
 
 
-def carmichael_lambda(n: int, table: FunctionTable | None = None) -> int:
+def carmichael_lambda(n: int) -> int:
     """Carmichael function lambda(n), computed directly from the definition
     (lcm of the exponents of the prime-power components)."""
     if n < 1:
         raise ValueError("n must be positive")
     out = 1
-    for p, e in factorize(n, table):
+    for p, e in factorize(n):
         if p == 2:
             lam = 1 if e == 1 else (2 if e == 2 else 2 ** (e - 2))
         else:
             lam = p ** (e - 1) * (p - 1)
         out = out * lam // gcd(out, lam)
     return out
-
-
-@dataclass(frozen=True)
-class SylowDecomposition:
-    """Map from each prime p | phi(n) to the partition describing the
-    p-Sylow subgroup of (Z/nZ)^x."""
-
-    n: int
-    components: dict[int, Partition]
 
 
 def _sylow_conjugate(n: int, p: int, fact: list[tuple[int, int]]) -> tuple[int, ...]:
@@ -227,22 +212,22 @@ def _sylow_conjugate(n: int, p: int, fact: list[tuple[int, int]]) -> tuple[int, 
     return a
 
 
-def sylow_partition(n: int, p: int, table: FunctionTable | None = None) -> Partition:
+def sylow_partition(n: int, p: int) -> Partition:
     """Partition alpha with p-Sylow subgroup of (Z/nZ)^x isomorphic to
     Z_{p^alpha_1} x Z_{p^alpha_2} x ...; requires p | phi(n)."""
-    fact = factorize(n, table)
+    fact = factorize(n)
     a = _sylow_conjugate(n, p, fact)
     if not a:
         raise ValueError(f"{p} does not divide phi({n})")
     return Partition(a).conjugate()
 
 
-def _prime_power_parts(q: int, e: int, table: FunctionTable | None) -> list[tuple[int, int]]:
+def _prime_power_parts(q: int, e: int) -> list[tuple[int, int]]:
     """(p, k) for each cyclic factor Z_{p^k} of (Z/q^eZ)^x: Z_2 x Z_{2^{e-2}} for
     q = 2, else Z_{p^{nu_p(q-1)}} for each p | q - 1 and Z_{q^{e-1}}."""
     if q == 2:
         return [] if e == 1 else [(2, 1)] if e == 2 else [(2, 1), (2, e - 2)]
-    return factorize(q - 1, table) + ([(q, e - 1)] if e >= 2 else [])
+    return factorize(q - 1) + ([(q, e - 1)] if e >= 2 else [])
 
 
 def _alphas(parts) -> dict[int, Partition]:
@@ -252,45 +237,38 @@ def _alphas(parts) -> dict[int, Partition]:
             for p, grp in groupby(sorted(parts), lambda pk: pk[0])}
 
 
-def _counts(alphas: dict[int, Partition], memo: dict) -> tuple[int, int]:
-    """(G, I) over the Sylow components {p: alpha}; memo holds counted components."""
-    g = i = 1
-    for key in alphas.items():
-        if key not in memo:
-            memo[key] = subgroup_count(PGroupType(*key)), count_subpartitions(key[1])
-        g, i = g * memo[key][0], i * memo[key][1]
-    return g, i
-
-
-def sylow_decomposition(n: int, table: FunctionTable | None = None,
-                        fact: list[tuple[int, int]] | None = None) -> SylowDecomposition:
-    """Sylow partitions for every prime dividing phi(n), from the primary
-    decomposition: (Z/nZ)^x is the product of the (Z/q^eZ)^x over q^e || n."""
+def sylow_decomposition(n: int,
+                        fact: list[tuple[int, int]] | None = None) -> dict[int, Partition]:
+    """{p: alpha_p}, primes ascending: the partition of the p-Sylow subgroup of
+    (Z/nZ)^x for every prime p | phi(n), from the primary decomposition:
+    (Z/nZ)^x is the product of the (Z/q^eZ)^x over q^e || n."""
     if fact is None:
-        fact = factorize(n, table)
-    parts = [x for q, e in fact for x in _prime_power_parts(q, e, table)]
-    return SylowDecomposition(n, _alphas(parts))
+        fact = factorize(n)
+    return _alphas([x for q, e in fact for x in _prime_power_parts(q, e)])
 
 
-def subgroup_counts(n: int, table: FunctionTable | None = None,
-                    fact: list[tuple[int, int]] | None = None,
-                    dec: SylowDecomposition | None = None) -> tuple[int, int]:
+def subgroup_counts(n: int, fact: list[tuple[int, int]] | None = None,
+                    dec: dict[int, Partition] | None = None) -> tuple[int, int]:
     """(G(n), I(n)): exact counts of subgroups of (Z/nZ)^x as sets and up to
     isomorphism.  Both are products over the Sylow components; pass dec when
     the decomposition of n is already at hand."""
     if dec is None:
-        dec = sylow_decomposition(n, table, fact)
-    return _counts(dec.components, {})
+        dec = sylow_decomposition(n, fact)
+    g = i = 1
+    for p, alpha in dec.items():
+        g *= subgroup_count(PGroupType(p, alpha))
+        i *= count_subpartitions(alpha)
+    return g, i
 
 
-def count_subgroups(n: int, table: FunctionTable | None = None) -> int:
+def count_subgroups(n: int) -> int:
     """G(n): number of subgroups of (Z/nZ)^x, counted as sets."""
-    return subgroup_counts(n, table)[0]
+    return subgroup_counts(n)[0]
 
 
-def count_subgroup_isoclasses(n: int, table: FunctionTable | None = None) -> int:
+def count_subgroup_isoclasses(n: int) -> int:
     """I(n): number of isomorphism classes of subgroups of (Z/nZ)^x."""
-    return subgroup_counts(n, table)[1]
+    return subgroup_counts(n)[1]
 
 
 # Partition keys: alpha = (alpha_1, alpha_2, ...) is the base-32 number with
@@ -301,7 +279,7 @@ _KEY_DIGITS = (32 ** np.arange(13, dtype=np.int64) - 1) // 31
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _conjugate_columns(primes: np.ndarray, N: int, p: int) -> list[np.ndarray]:
+def conjugate_columns(primes: np.ndarray, N: int, p: int) -> list[np.ndarray]:
     """[a_1, a_2, ...] over [0, N] with a_j(n) = omega_bar(n, p, j): omega_{p^j}
     from the primes q = 1 (mod p^j), plus the boundary term of the p-power part
     of n.  The list stops before the first column that is zero everywhere."""
@@ -363,7 +341,7 @@ def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.ones(N + 1, dtype=np.int64)
     n_large = table.omega_phi[: N + 1].astype(np.int64)  # primes > sqrt(N) dividing phi(n)
     for p in primes[primes <= math.isqrt(N)].tolist():
-        cols = _conjugate_columns(primes, N, p)
+        cols = conjugate_columns(primes, N, p)
         on = np.flatnonzero(cols[0])  # the n with p | phi(n)
         n_large[on] -= 1
         cols = [a[on] for a in cols]

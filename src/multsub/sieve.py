@@ -1,8 +1,8 @@
 """Bulk tables of arithmetic functions over [2, N] and scalar prime utilities.
 
-The FunctionTable holds, for every n up to N: the smallest prime factor,
-Euler's totient, and the prime-divisor counts omega(phi(n)) and
-Omega(phi(n)).  Construction makes one vectorized pass per prime up to
+The FunctionTable holds, for every n up to N: Euler's totient and the
+prime-divisor counts omega(phi(n)) and Omega(phi(n)), plus the primes up
+to N.  Construction makes one vectorized pass per prime up to
 sqrt(N) and then one step over all n for the single prime factor above
 sqrt(N) that n may have; after construction the table is immutable and safe
 to share across threads.
@@ -87,46 +87,25 @@ class FunctionTable:
     """Immutable bulk arrays over [0, N]; entries below 2 are fillers."""
 
     N: int
-    spf: np.ndarray            # smallest prime factor, int32
     phi: np.ndarray            # Euler totient, int32
     omega_phi: np.ndarray      # omega(phi(n)), uint8
     bigomega_phi: np.ndarray   # Omega(phi(n)), uint8
     primes: np.ndarray         # the primes <= N, ascending, int64
 
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Exact factorization of 1 <= n <= N via the smallest-prime-factor chain."""
-        if not 1 <= n <= self.N:
-            raise ValueError(f"n = {n} outside table range [1, {self.N}]")
-        out = []
-        spf = self.spf
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-
 
 def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
     """Sieve all table columns for 2 <= n <= N."""
-    if not 2 <= N < 2**31:  # spf and phi are int32 columns
+    if not 2 <= N < 2**31:  # phi and the remainder array are int32
         raise ValueError(f"N must be in [2, 2**31), got {N}")
+    # The build itself peaks under 10 bytes per entry; 16 keeps out the N at
+    # which log_counts's per-n int64 arrays would run out of memory instead.
     if 16 * (N + 1) > memory_budget:
         raise MemoryBudgetError(
             f"table for N = {N} needs about {16 * (N + 1)} bytes, budget {memory_budget}"
         )
 
-    spf = np.zeros(N + 1, dtype=np.int32)
-    root = math.isqrt(N)
-    for p in range(2, root + 1):
-        if spf[p] == 0:
-            view = spf[p * p :: p]
-            view[view == 0] = p
-    primes = (np.flatnonzero(spf[2:] == 0) + 2).astype(np.int64, copy=False)  # exactly the primes
-    spf[primes] = primes
-    small = primes[: np.searchsorted(primes, root, side="right")].tolist()
+    primes = primes_up_to(N)
+    small = primes[: np.searchsorted(primes, math.isqrt(N), side="right")].tolist()
 
     # Only the primes p <= sqrt(N) get a slice each.  Dividing them out leaves
     # in rem the one prime factor of n above sqrt(N), to the first power, or 1.
@@ -163,7 +142,7 @@ def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
     omega_phi[0] = 0
     bigomega_phi[0] = 0
 
-    return FunctionTable(N=N, spf=spf, phi=phi, omega_phi=omega_phi,
+    return FunctionTable(N=N, phi=phi, omega_phi=omega_phi,
                          bigomega_phi=bigomega_phi, primes=primes)
 
 

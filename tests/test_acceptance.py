@@ -64,14 +64,14 @@ def bulk_100k(table_100k):
         "g8": None,
     }
     for n in range(1, 10**5 + 1):
-        fact = multgroup.factorize(n, t) if n > 1 else []
-        dec = multgroup.sylow_decomposition(n, t, fact)
+        fact = multgroup.factorize(n)
+        dec = multgroup.sylow_decomposition(n, fact)
         phi = int(t.phi[n]) if n >= 2 else 1
         prod = 1
         g_val = 1
         i_val = 1
-        lam = multgroup.carmichael_lambda(n, t)
-        for p, alpha in dec.components.items():
+        lam = multgroup.carmichael_lambda(n)
+        for p, alpha in dec.items():
             prod *= p**alpha.size
             np_count = subgroup_count(PGroupType(p, alpha))
             g_val *= np_count

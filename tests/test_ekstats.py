@@ -159,14 +159,13 @@ def test_covariance_examples(table_10k):
     assert a == b
 
 
-def test_log_g_surrogate_examples(table_10k):
+def test_log_g_surrogate_examples():
     assert ekstats.log_g_surrogate(1, 1e7) == 0.0
     assert ekstats.log_g_surrogate(2, 1e7) == 0.0
     assert ekstats.log_g_surrogate(8, 1e7) == pytest.approx(LOG2)
     # phi(31) = 30 has three prime factors; the cutoff at 1e7 is below 2,
     # so the quadratic part is empty
     assert ekstats.log_g_surrogate(31, 1e7) == pytest.approx(3 * LOG2)
-    assert ekstats.log_g_surrogate(31, 1e7, table_10k) == pytest.approx(3 * LOG2)
     with pytest.raises(ValueError):
         ekstats.log_g_surrogate(100, 10.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from multsub import extremal, multgroup, sieve
@@ -20,7 +21,7 @@ def test_partition_exponential_bound():
         assert (k + 1) * extremal.partition_count(k) < math.exp(PI_SQRT_2_3 * math.sqrt(k))
 
 
-def test_isoclass_count_against_partition_sums(table_10k):
+def test_isoclass_count_against_partition_sums():
     # I_p(n) <= sum_{j <= k_p} P(j) <= (k_p + 1) P(k_p)
     from multsub.partitions import count_subpartitions
 
@@ -28,8 +29,8 @@ def test_isoclass_count_against_partition_sums(table_10k):
     for j in range(1, 30):
         psums.append(psums[-1] + extremal.partition_count(j))
     for n in range(3, 10**4 + 1):
-        dec = multgroup.sylow_decomposition(n, table_10k)
-        for p, alpha in dec.components.items():
+        dec = multgroup.sylow_decomposition(n)
+        for p, alpha in dec.items():
             k_p = alpha.size
             ip = count_subpartitions(alpha)
             assert ip <= psums[k_p] <= (k_p + 1) * extremal.partition_count(k_p), (n, p)
@@ -144,3 +145,16 @@ def test_upper_bound_check_small(table_10k):
     assert rep.max_log_i_ratio < 1
     with pytest.raises(ValueError):
         extremal.upper_bound_check(50, table_10k)
+
+
+def test_i_cap_bit_for_bit_against_per_n_factorization(table_100k):
+    t = table_100k
+    ref = [PI_SQRT_2_3 * sum(math.sqrt(e) for _, e in multgroup.factorize(int(phi)))
+           if phi > 1 else 0.0 for phi in t.phi.tolist()]
+    cap = extremal._i_cap(t, 10**5)
+    assert cap.dtype == np.float64 and len(cap) == 10**5 + 1
+    bad = [n for n in range(10**5 + 1) if cap[n] != ref[n]]
+    assert not bad, bad[:10]
+    # a shorter range moves the split at sqrt(N), not the values
+    for N in (100, 2000, 6049):
+        assert extremal._i_cap(t, N).tolist() == ref[: N + 1], N

@@ -127,12 +127,12 @@ def test_lambda_p_examples():
     assert mg.lambda_p(4, 2) == 1  # (Z/4Z)^x is cyclic of order 2
 
 
-def test_lambda_p_matches_carmichael(table_10k):
+def test_lambda_p_matches_carmichael():
     for n in range(1, 3001):
-        fact = mg.factorize(n, table_10k)
-        lam = mg.carmichael_lambda(n, table_10k)
-        dec = mg.sylow_decomposition(n, table_10k, fact)
-        for p in dec.components:
+        fact = mg.factorize(n)
+        lam = mg.carmichael_lambda(n)
+        dec = mg.sylow_decomposition(n, fact)
+        for p in dec:
             e = 0
             m = lam
             while m % p == 0:
@@ -141,7 +141,7 @@ def test_lambda_p_matches_carmichael(table_10k):
             assert mg.lambda_p(n, p, fact) == e, (n, p)
         # closed form reports 0 exactly for primes not dividing phi(n)
         for p in (2, 3, 5, 7):
-            if p not in dec.components:
+            if p not in dec:
                 assert mg.lambda_p(n, p, fact) == 0
 
 
@@ -159,20 +159,20 @@ def test_sylow_partition_examples():
         mg.sylow_partition(5, 7)
 
 
-def check_primary_against_definition(n, table=None):
+def check_primary_against_definition(n):
     """The primary decomposition has a component for exactly the primes
     p | phi(n), each equal to the conjugate of the omega_bar vector."""
-    fact = mg.factorize(n, table)
-    dec = mg.sylow_decomposition(n, table, fact)
-    phi_primes = [p for p, _ in mg.factorize(mg.euler_phi(n, table), table)]
-    assert list(dec.components) == phi_primes, n
-    for p, alpha in dec.components.items():
+    fact = mg.factorize(n)
+    dec = mg.sylow_decomposition(n, fact)
+    phi_primes = [p for p, _ in mg.factorize(mg.euler_phi(n))]
+    assert list(dec) == phi_primes, n
+    for p, alpha in dec.items():
         assert alpha == Partition(mg._sylow_conjugate(n, p, fact)).conjugate(), (n, p)
 
 
-def test_primary_decomposition_matches_definition(table_100k):
+def test_primary_decomposition_matches_definition():
     for n in range(1, 10**5 + 1):
-        check_primary_against_definition(n, table_100k)
+        check_primary_against_definition(n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,8 +189,8 @@ def test_log_counts_match_definitional_products(table_10k):
     assert log_g[0] == log_i[0] == 0.0
     for n in range(1, 10**4 + 1):
         g = i = 1
-        for p, _ in mg.factorize(mg.euler_phi(n, t), t):
-            alpha = mg.sylow_partition(n, p, t)
+        for p, _ in mg.factorize(mg.euler_phi(n)):
+            alpha = mg.sylow_partition(n, p)
             g *= subgroup_count(PGroupType(p, alpha))
             i *= count_subpartitions(alpha)
         assert (log_g[n], log_i[n]) == (math.log(g), math.log(i)), n
@@ -202,7 +202,7 @@ def test_log_counts_bit_for_bit_against_subgroup_counts(table_100k):
     t = table_100k
     log_g, log_i = mg.log_counts(t, 10**5)
     bad = [n for n in range(1, 10**5 + 1)
-           if (log_g[n], log_i[n]) != tuple(map(math.log, mg.subgroup_counts(n, t)))]
+           if (log_g[n], log_i[n]) != tuple(map(math.log, mg.subgroup_counts(n)))]
     assert not bad, bad[:10]
     # a shorter range changes which primes count as small, not the values
     for N in (*range(1, 40), 99, 100, 101, 1680, 10**4):
@@ -221,15 +221,15 @@ def test_log_counts_overflow_guard():
 
 def test_sylow_decomposition_consistency(table_10k):
     for n in range(1, 2001):
-        dec = mg.sylow_decomposition(n, table_10k)
-        phi = mg.euler_phi(n, table_10k)
+        dec = mg.sylow_decomposition(n)
+        phi = int(table_10k.phi[n])
         prod = 1
-        for p, alpha in dec.components.items():
+        for p, alpha in dec.items():
             prod *= p**alpha.size
         assert prod == phi, n
         # lambda bound: lambda_p(n) <= max(nu_p(n), sum_j omega_{p^j}(n))
-        fact = mg.factorize(n, table_10k)
-        for p in dec.components:
+        fact = mg.factorize(n)
+        for p in dec:
             lam = mg.lambda_p(n, p, fact)
             nu = next((e for q, e in fact if q == p), 0)
             wsum = sum(mg.omega_q(n, p**j, fact) for j in range(1, lam + 1))

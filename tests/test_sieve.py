@@ -46,7 +46,6 @@ def test_build_small_values():
     assert t.phi[2:11].tolist() == [1, 2, 2, 4, 2, 6, 4, 6, 4]
     assert int(t.omega_phi[8]) == 1   # phi(8) = 4
     assert int(t.bigomega_phi[7]) == 2  # phi(7) = 6
-    assert int(t.spf[9]) == 3
     assert t.primes.tolist() == [2, 3, 5, 7]
 
 
@@ -71,7 +70,6 @@ def test_table_matches_per_n_computation(table_10k):
         phifact = mg.factorize(phi)
         assert int(t.omega_phi[n]) == len(phifact)
         assert int(t.bigomega_phi[n]) == sum(e for _, e in phifact)
-        assert int(t.spf[n]) == fact[0][0]
 
 
 def test_omega_q_tables(table_10k):
@@ -79,7 +77,7 @@ def test_omega_q_tables(table_10k):
     for q in (2, 3, 4, 5, 7, 8, 9):
         arr = sieve.omega_q_table(t, q)
         for n in range(2, 10**4 + 1):
-            assert int(arr[n]) == mg.omega_q(n, q, t.factorize(n)), (n, q)
+            assert int(arr[n]) == mg.omega_q(n, q, mg.factorize(n)), (n, q)
     assert int(sieve.omega_q_table(t, 2)[12]) == 1
     assert int(sieve.omega_q_table(t, 4)[10]) == 1
     assert int(sieve.omega_q_table(t, 9)[2]) == 0
@@ -110,12 +108,6 @@ def test_omega_q_bounds(table_10k):
         assert mg.omega_q(n, n + 1) == 0
 
 
-def test_factorize_range_check(table_10k):
-    with pytest.raises(ValueError):
-        table_10k.factorize(10**4 + 1)
-    assert table_10k.factorize(1) == []
-
-
 @settings(max_examples=60)
 @given(st.integers(2, 99), st.integers(2, 99))
 def test_phi_multiplicative_on_coprime_pairs(table_10k, a, b):
@@ -132,9 +124,7 @@ def _build_per_prime(N):
         if spf[p] == 0:
             view = spf[p * p :: p]
             view[view == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    primes = rest.astype(np.int64)
+    primes = (np.flatnonzero(spf[2:] == 0) + 2).astype(np.int64)
     phi = np.arange(N + 1, dtype=np.int32)
     for p in primes:
         phi[p::p] -= phi[p::p] // p
@@ -153,7 +143,7 @@ def _build_per_prime(N):
     bigomega_phi = bigomega[phi]
     omega_phi[0] = 0
     bigomega_phi[0] = 0
-    return spf, phi, omega_phi, bigomega_phi, primes
+    return phi, omega_phi, bigomega_phi, primes
 
 
 _SQUARE_EDGES = [m for p in range(2, 101) if sieve.is_prime(p) for m in (p * p - 1, p * p, p * p + 1)]
@@ -164,8 +154,8 @@ _SQUARE_EDGES = [m for p in range(2, 101) if sieve.is_prime(p) for m in (p * p -
 def test_build_matches_per_prime_reference(sizes):
     for N in sizes:
         t = sieve.build(N)
-        got = (t.spf, t.phi, t.omega_phi, t.bigomega_phi, t.primes)
-        for name, a, b in zip(("spf", "phi", "omega_phi", "bigomega_phi", "primes"),
+        got = (t.phi, t.omega_phi, t.bigomega_phi, t.primes)
+        for name, a, b in zip(("phi", "omega_phi", "bigomega_phi", "primes"),
                               got, _build_per_prime(N)):
             assert a.dtype == b.dtype and np.array_equal(a, b), (N, name)
 
