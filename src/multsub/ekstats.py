@@ -67,24 +67,19 @@ def surrogate_prime_powers(x: float) -> list[tuple[int, float]]:
 # Means and the mean/oscillation decomposition
 # ---------------------------------------------------------------------------
 
+def _g_exact(q: int, p: int) -> int:
+    """g(p) at the prime p for the function tagged q."""
+    return len(multgroup.factorize(p - 1)) if q == OMEGA0 else int((p - 1) % q == 0)
+
+
 @lru_cache(maxsize=64)
-def _exact_state(q: int, xi: int):
-    """For exact arithmetic at small x: the primes p <= xi with g(p) != 0,
-    their g values, and the two one-off rational sums  sum g(p)/p  and
-    sum -g(p)/p  (accumulated separately, ascending and descending)."""
-    ps = [int(p) for p in primes_up_to(xi)]
-    rows = []
-    for p in ps:
-        g = len(multgroup.factorize(p - 1)) if q == OMEGA0 else int((p - 1) % q == 0)
-        if g:
-            rows.append((p, g))
+def _exact_mu(q: int, xi: int) -> Fraction:
+    """The rational sum  sum_{p <= xi} g(p)/p,  accumulated in ascending p."""
     mu_sum = Fraction(0)
-    for p, g in rows:
-        mu_sum += Fraction(g, p)
-    neg_sum = Fraction(0)
-    for p, g in reversed(rows):
-        neg_sum += Fraction(-g, p)
-    return tuple(rows), mu_sum, neg_sum
+    for p in primes_up_to(xi).tolist():
+        if g := _g_exact(q, p):
+            mu_sum += Fraction(g, p)
+    return mu_sum
 
 
 def _g_values(q: int, ps: np.ndarray, table: FunctionTable) -> np.ndarray:
@@ -110,8 +105,7 @@ def mu(q: int, x: float, table: FunctionTable | None = None, exact: bool = False
     if x < 2:
         raise ValueError("x must be at least 2")
     if exact:
-        _, mu_sum, _ = _exact_state(q, int(x))
-        return mu_sum
+        return _exact_mu(q, int(x))
     if table is None or table.N < x:
         raise ValueError("float mode needs a FunctionTable covering x")
     _, g, invp = _float_state(q, x, table)
@@ -140,13 +134,8 @@ def oscillation(q: int, a: int, x: float, table: FunctionTable | None = None,
     if a < 1:
         raise ValueError("a must be positive")
     if exact:
-        rows, _, neg_sum = _exact_state(q, int(x))
-        hit = 0
-        for p, e in multgroup.factorize(a):
-            if p <= x:
-                g = len(multgroup.factorize(p - 1)) if q == OMEGA0 else int((p - 1) % q == 0)
-                hit += g
-        return hit + neg_sum
+        hit = sum(_g_exact(q, p) for p, _ in multgroup.factorize(a) if p <= x)
+        return hit - _exact_mu(q, int(x))
     if table is None or table.N < x:
         raise ValueError("float mode needs a FunctionTable covering x")
     pi, g, invp = _float_state(q, x, table)

@@ -101,13 +101,10 @@ def construct_G_extremal(x: float, bv_exponent: int = 0) -> ExtremalRecord:
 
     n = 1
     log_n = 0.0
-    fact = []
-    for q in best_qs:
-        q = int(q)
+    for q in best_qs.tolist():
         n *= q
         log_n += math.log(q)
-        fact.append((q, 1))
-    g = multgroup.subgroup_counts(n, fact=fact)[0]
+    g = multgroup.subgroup_counts(n)[0]
     value = math.log(g)
     return ExtremalRecord(n, value, _normalized(value, log_n, "G"), "construction")
 
@@ -169,17 +166,21 @@ def _i_cap(table: FunctionTable, N: int) -> np.ndarray:
     """pi sqrt(2/3) * sum over p | phi(n) of sqrt(nu_p(phi(n))), for 0 <= n <= N
     (0 where phi(n) = 1), with the terms added in ascending p.
 
-    For p <= sqrt(N), nu_p(phi(n)) is the sum of the conjugate columns of the
-    p-Sylow partition.  A prime above sqrt(N) divides phi(n) at most once, and
-    there are omega(phi(n)) minus the small ones of them."""
-    primes = table.primes[: np.searchsorted(table.primes, N, side="right")]
+    For p <= sqrt(N), nu_p(phi(n)) comes from dividing the totient column by p
+    for as long as p divides it.  A prime above sqrt(N) divides phi(n) at most
+    once, and there are omega(phi(n)) minus the small ones of them."""
+    phi = table.phi[: N + 1]
     total = np.zeros(N + 1)
     n_large = table.omega_phi[: N + 1].astype(np.int64)
-    for p in primes[primes <= math.isqrt(N)].tolist():
-        nu = sum(multgroup.conjugate_columns(primes, N, p))
-        on = np.flatnonzero(nu)
+    for p in table.primes[table.primes <= math.isqrt(N)].tolist():
+        on = np.flatnonzero(phi[1:] % p == 0) + 1  # n = 0 skipped: phi holds 0 there
         n_large[on] -= 1
-        total[on] += np.sqrt(nu[on].astype(np.float64))
+        nu = np.ones(on.size)
+        rest, at = phi[on] // p, np.arange(on.size)
+        while (more := rest % p == 0).any():
+            rest, at = rest[more] // p, at[more]
+            nu[at] += 1
+        total[on] += np.sqrt(nu)
     for k in range(int(n_large.max(initial=0))):
         total[n_large > k] += 1.0
     return PI_SQRT_2_3 * total

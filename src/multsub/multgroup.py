@@ -247,13 +247,12 @@ def sylow_decomposition(n: int,
     return _alphas([x for q, e in fact for x in _prime_power_parts(q, e)])
 
 
-def subgroup_counts(n: int, fact: list[tuple[int, int]] | None = None,
-                    dec: dict[int, Partition] | None = None) -> tuple[int, int]:
+def subgroup_counts(n: int, dec: dict[int, Partition] | None = None) -> tuple[int, int]:
     """(G(n), I(n)): exact counts of subgroups of (Z/nZ)^x as sets and up to
     isomorphism.  Both are products over the Sylow components; pass dec when
     the decomposition of n is already at hand."""
     if dec is None:
-        dec = sylow_decomposition(n, fact)
+        dec = sylow_decomposition(n)
     g = i = 1
     for p, alpha in dec.items():
         g *= subgroup_count(PGroupType(p, alpha))
@@ -279,7 +278,7 @@ _KEY_DIGITS = (32 ** np.arange(13, dtype=np.int64) - 1) // 31
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def conjugate_columns(primes: np.ndarray, N: int, p: int) -> list[np.ndarray]:
+def _conjugate_columns(primes: np.ndarray, N: int, p: int) -> list[np.ndarray]:
     """[a_1, a_2, ...] over [0, N] with a_j(n) = omega_bar(n, p, j): omega_{p^j}
     from the primes q = 1 (mod p^j), plus the boundary term of the p-power part
     of n.  The list stops before the first column that is zero everywhere."""
@@ -341,7 +340,7 @@ def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.ones(N + 1, dtype=np.int64)
     n_large = table.omega_phi[: N + 1].astype(np.int64)  # primes > sqrt(N) dividing phi(n)
     for p in primes[primes <= math.isqrt(N)].tolist():
-        cols = conjugate_columns(primes, N, p)
+        cols = _conjugate_columns(primes, N, p)
         on = np.flatnonzero(cols[0])  # the n with p | phi(n)
         n_large[on] -= 1
         cols = [a[on] for a in cols]
@@ -388,10 +387,10 @@ def _closure(H: frozenset, g, mul) -> frozenset:
     return frozenset(S)
 
 
-def _cyclic_walk(elements, mul, identity) -> tuple[list, dict]:
-    """One generator for each distinct cyclic subgroup, and the order of every
-    element, from the powers of each element not yet known as a generator."""
-    gens, order, covered = [], {}, set()
+def _cyclic_walk(elements, mul, identity) -> list:
+    """One generator for each distinct cyclic subgroup, from the powers of
+    each element not yet known as a generator."""
+    gens, covered = [], set()
     for g in elements:
         if g in covered:
             continue
@@ -402,11 +401,8 @@ def _cyclic_walk(elements, mul, identity) -> tuple[list, dict]:
             x = mul(x, g)
         m = len(powers)
         gens.append(g)
-        for k, x in enumerate(powers):
-            order[x] = m // gcd(k, m)
-            if order[x] == m:  # x generates <g> too
-                covered.add(x)
-    return gens, order
+        covered.update(x for k, x in enumerate(powers) if gcd(k, m) == 1)  # generators of <g>
+    return gens
 
 
 def closure_subgroup_enumeration(elements, mul, identity,
@@ -416,7 +412,7 @@ def closure_subgroup_enumeration(elements, mul, identity,
     generator of each cyclic subgroup <g>.  Every subgroup is a join of cyclic
     subgroups and H v <g> depends only on <g>, so this reaches every subgroup.
     Returns canonical sorted element tuples."""
-    gens = _cyclic_walk(elements, mul, identity)[0]
+    gens = _cyclic_walk(elements, mul, identity)
     base = frozenset([identity])
     found = {base}
     queue = [base]
@@ -453,9 +449,14 @@ def classify_isoclasses_oracle(n: int, cap: int = DEFAULT_ORACLE_CAP,
     pass subs when the enumeration of n is already at hand.
 
     For finite abelian groups the sorted multiset of element orders
-    determines the isomorphism type, so it serves as the signature.
+    determines the isomorphism type, so it serves as the signature.  The
+    order of g is |<g>|, and <g> is the smallest subgroup containing g: the
+    first one containing g in the list, which is sorted by size.
     """
     if subs is None:
         subs = enumerate_subgroups_oracle(n, cap)
-    order = _cyclic_walk(units(n), lambda a, b: a * b % n, 1 % n)[1]
+    order = {}
+    for H in subs:
+        for g in H:
+            order.setdefault(g, len(H))
     return len({tuple(sorted(order[g] for g in H)) for H in subs})

@@ -158,3 +158,11 @@ def test_i_cap_bit_for_bit_against_per_n_factorization(table_100k):
     # a shorter range moves the split at sqrt(N), not the values
     for N in (100, 2000, 6049):
         assert extremal._i_cap(t, N).tolist() == ref[: N + 1], N
+
+
+def test_i_cap_builds_no_sylow_columns(table_10k, monkeypatch):
+    # the cap is computed from the totient column, independently of log_counts
+    ref = extremal._i_cap(table_10k, 6049)
+    monkeypatch.setattr(multgroup, "_conjugate_columns",
+                        lambda *args: pytest.fail("Sylow columns built"))
+    assert np.array_equal(extremal._i_cap(table_10k, 6049), ref)

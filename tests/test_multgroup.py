@@ -211,6 +211,21 @@ def test_log_counts_bit_for_bit_against_subgroup_counts(table_100k):
         assert np.array_equal(short_i, log_i[: N + 1]), N
 
 
+def test_conjugate_column_sums_are_sylow_sizes_of_phi(table_100k):
+    # |(Z/nZ)^x| = phi(n): the conjugate columns of the p-Sylow partition sum
+    # to nu_p(phi(n)) for every n <= 1e5 and every p <= sqrt(1e5)
+    t, N = table_100k, 10**5
+    ref = {p: np.zeros(N + 1, dtype=np.int64) for p in t.primes[t.primes <= math.isqrt(N)].tolist()}
+    for n, phi in enumerate(t.phi[1:].tolist(), start=1):
+        for p, e in mg.factorize(phi):
+            if p in ref:
+                ref[p][n] = e
+    for p, nu in ref.items():
+        got = sum(a.astype(np.int64) for a in mg._conjugate_columns(t.primes, N, p))
+        bad = np.flatnonzero(got[1:] != nu[1:]) + 1
+        assert not bad.size, (p, bad[:10].tolist())
+
+
 def test_log_counts_overflow_guard():
     # the products stay exact: one that would wrap int64 raises instead
     with pytest.raises(OverflowError):
@@ -312,10 +327,12 @@ def test_cyclic_join_closure_on_mixed_abelian_groups(orders):
         mg.closure_subgroup_enumeration(ids, mul, 0, max_subgroups=len(ref) - 1)
 
 
-def test_isoclass_oracle_reuses_enumeration():
-    for n in (1, 8, 16, 63, 105):
-        subs = mg.enumerate_subgroups_oracle(n)
-        assert mg.classify_isoclasses_oracle(n, subs=subs) == mg.count_subgroup_isoclasses(n)
+def test_isoclass_oracle_reuses_enumeration(monkeypatch):
+    subs = {n: mg.enumerate_subgroups_oracle(n) for n in (1, 8, 16, 63, 105)}
+    # element orders come from the subgroup list, not from the units again
+    monkeypatch.setattr(mg, "units", lambda n: pytest.fail("units listed"))
+    for n, s in subs.items():
+        assert mg.classify_isoclasses_oracle(n, subs=s) == mg.count_subgroup_isoclasses(n)
 
 
 def test_formula_matches_oracle_small():
