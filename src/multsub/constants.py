@@ -12,8 +12,9 @@ compute_B_report and infinite_sum_checks take their estimates.
 B is evaluated two ways: from the power-series derivation (authoritative
 here) and from the degree-7 closed-form term whose numerator reads
 p^4 - p^3 - p^2 - p - 1; the variant with the numerator's -p^3 duplicated
-in place of -p^2 is kept for discrepancy reporting.  Truncation tails are
-bounded by integral comparison and reported alongside the values.
+in place of -p^2 is kept for discrepancy reporting.  Every per-prime term is
+a float64 array function summed once with math.fsum (the tests pin the sums
+bit for bit).  Truncation tails are bounded by integral comparison.
 """
 
 from __future__ import annotations
@@ -78,22 +79,14 @@ def b_term_series(p):
     return 0.25 * lp2 * (second - first)
 
 
-def b_term_closed(p: int) -> float:
-    """Per-prime B term from the closed form with the corrected numerator
-    p^4 - p^3 - p^2 - p - 1 (the 1/4 included)."""
-    num = p**4 - p**3 - p**2 - p - 1
-    return 0.25 * p**3 * num * math.log(p) ** 2 / (
-        (p - 1) ** 6 * (p + 1) ** 2 * (p * p + p + 1)
-    )
-
-
-def b_term_closed_uncorrected(p: int) -> float:
-    """Closed-form term with the duplicated -p^3 kept in the numerator
-    (p^4 - p^3 - p^3 - p - 1); retained for discrepancy reporting."""
-    num = p**4 - 2 * p**3 - p - 1
-    return 0.25 * p**3 * num * math.log(p) ** 2 / (
-        (p - 1) ** 6 * (p + 1) ** 2 * (p * p + p + 1)
-    )
+def b_term_closed(p, corrected: bool = True):
+    """Per-prime B term from the closed form (the 1/4 included), for a prime or
+    an array of them, in float64.  The numerator is p^4 - p^3 - p^2 - p - 1;
+    corrected=False keeps the duplicated -p^3 in its place (p^4 - 2p^3 - p - 1),
+    for discrepancy reporting."""
+    p = np.asarray(p, dtype=np.float64)
+    num = p**4 - p**3 - p**2 - p - 1 if corrected else p**4 - 2 * p**3 - p - 1
+    return 0.25 * p**3 * num * np.log(p) ** 2 / ((p - 1) ** 6 * (p + 1) ** 2 * (p * p + p + 1))
 
 
 def b_term_series_exact(p: int) -> Fraction:
@@ -122,13 +115,13 @@ def compute_B(prime_limit: int, primes: np.ndarray | None = None) -> ConstantEst
 
 
 def compute_B_report(b: ConstantEstimate, primes: np.ndarray | None = None) -> dict:
-    """The series estimate b against both closed forms summed over the same
-    primes, plus per-prime and aggregate discrepancies."""
-    ps = [int(p) for p in _as_primes(b.prime_limit, primes)]
-    closed = math.fsum(b_term_closed(p) for p in ps)
-    uncorrected = math.fsum(b_term_closed_uncorrected(p) for p in ps)
-    series = b_term_series(np.array(ps[:2000], dtype=np.float64)).tolist()
-    per_prime = max(abs(s - b_term_closed(p)) for s, p in zip(series, ps))
+    """The series estimate b against both closed forms, each one fsum of float64
+    array terms over the same primes, plus per-prime and aggregate discrepancies."""
+    ps = _as_primes(b.prime_limit, primes).astype(np.float64)
+    closed = math.fsum(b_term_closed(ps).tolist())
+    uncorrected = math.fsum(b_term_closed(ps, corrected=False).tolist())
+    head = ps[:2000]
+    per_prime = float(np.max(np.abs(b_term_series(head) - b_term_closed(head))))
     return {
         "B_series": b.value,
         "B_closed_corrected": closed,
@@ -170,9 +163,9 @@ def normalization() -> tuple[float, float]:
 def single_prime_power_sum(x_limit: float) -> float:
     """(1/4) sum_{q <= X} Lambda(q)/phi(q)^2 over prime powers; -> A0 as X grows."""
     total = 0.0
+    base: dict[float, int] = {}  # Lambda -> p: q ascends, so p comes before its powers
     for q, logp in prime_power_list(x_limit):
-        phi_q = multgroup.euler_phi(q)
-        total += logp / phi_q**2
+        total += logp / (q - q // base.setdefault(logp, q)) ** 2
     return 0.25 * total
 
 
@@ -181,7 +174,8 @@ def double_prime_power_sum(x_limit: float, brute: bool = False) -> float:
     converges to 4 A0^2 + B.
 
     The default evaluation splits distinct-base pairs (where the sum factors)
-    from same-base pairs (summed directly); brute=True loops all pairs.
+    from same-base pairs (summed directly), with phi(p^k) = p^k - p^(k-1);
+    brute=True loops all pairs with the definitional multgroup.euler_phi.
     """
     qs = prime_power_list(x_limit)
     if brute:
@@ -194,22 +188,20 @@ def double_prime_power_sum(x_limit: float, brute: bool = False) -> float:
                 )
         return 0.25 * total
 
-    per_prime: dict[int, list[int]] = {}
-    for q, logp in qs:
-        p = multgroup.factorize(q)[0][0]
-        per_prime.setdefault(p, []).append(q)
+    per_prime: dict[float, list[int]] = {}  # by Lambda = log p, each list ascending from p
+    for q, lp in qs:
+        per_prime.setdefault(lp, []).append(q)
     single = 0.0
     same_base_factored = 0.0
     same_base_true = 0.0
-    for p, powers in per_prime.items():
-        lp = math.log(p)
-        phis = [multgroup.euler_phi(q) for q in powers]
+    for lp, powers in per_prime.items():
+        phis = [q - q // powers[0] for q in powers]  # so phi(max(q1, q2)) = phis[max(i, j)]
         s = sum(lp / ph**2 for ph in phis)
         single += s
         same_base_factored += s * s
-        for i, q1 in enumerate(powers):
-            for j, q2 in enumerate(powers):
-                same_base_true += lp * lp / (phis[i] * phis[j] * multgroup.euler_phi(max(q1, q2)))
+        for i in range(len(powers)):
+            for j in range(len(powers)):
+                same_base_true += lp * lp / (phis[i] * phis[j] * phis[max(i, j)])
     return 0.25 * (single * single - same_base_factored + same_base_true)
 
 

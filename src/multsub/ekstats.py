@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import constants, multgroup
-from .sieve import FunctionTable, prime_power_list, primes_up_to
+from .sieve import FunctionTable, omega_q_table, prime_power_list, primes_up_to
 
 LOG2 = math.log(2)
 OMEGA0 = 0  # function id for omega(phi(n))
@@ -198,31 +198,39 @@ def surrogate_mean(x: float, table: FunctionTable) -> float:
     return total
 
 
-def _surrogate_array(x: float, table: FunctionTable) -> np.ndarray:
-    """Vector of surrogate values for n = 1..x (index 0 unused)."""
-    from .sieve import omega_q_table
-
-    xi = int(x)
-    if table.N < xi:
-        raise ValueError("table must cover x")
-    pn = LOG2 * table.omega_phi[: xi + 1].astype(np.float64)
-    pn[0] = 0.0
-    for q, logp in surrogate_prime_powers(x):
-        wq = omega_q_table(table, q)[: xi + 1].astype(np.float64)
-        pn += 0.25 * logp * wq * wq
-    return pn
-
-
 def surrogate_moments(hs: list[int], x: float, table: FunctionTable) -> dict[int, float]:
-    """Centered moment sums M_h = sum_{n <= x} (P_n - D)^h for each h in hs,
-    sharing one pass over the data."""
+    """Centered moment sums M_h = sum_{n <= x} (P_n - D)^h for each h in hs.
+
+    P_n depends on n only through its row (omega(phi(n)), omega_q(n) for each
+    surrogate q), keyed here in mixed radix.  P - D and its powers are computed
+    once per distinct row and gathered back to n = 1..x, so each sum sees the
+    same array as a per-n evaluation."""
     for h in hs:
         if not 1 <= h <= 8:
             raise ValueError("h must be between 1 and 8")
-    pn = _surrogate_array(x, table)
-    d = surrogate_mean(x, table)
-    centered = pn[1:] - d
-    return {h: chunked_sum(centered**h) for h in hs}
+    xi = int(x)
+    if table.N < xi:
+        raise ValueError("table must cover x")
+    qs = surrogate_prime_powers(x)
+    key = table.omega_phi[1 : xi + 1]  # a view: no per-n copy while qs is empty
+    radices = [int(key.max()) + 1]
+    for q, _ in qs:
+        wq = omega_q_table(table, q)[1 : xi + 1]
+        radices.append(int(wq.max()) + 1)
+        key = key.astype(np.min_scalar_type(math.prod(radices) - 1)) * radices[-1] + wq
+    keys = np.flatnonzero(np.bincount(key))  # the distinct rows, ascending
+    omega_phi, *digits = np.unravel_index(keys, radices)
+    pn = LOG2 * omega_phi.astype(np.float64)
+    for (_, logp), w in zip(qs, digits):
+        wq = w.astype(np.float64)
+        pn += 0.25 * logp * wq * wq
+    centered = pn - surrogate_mean(x, table)
+    power = np.zeros(int(keys[-1]) + 1)
+    moments = {}
+    for h in hs:
+        power[keys] = centered**h
+        moments[h] = chunked_sum(power[key])
+    return moments
 
 
 def surrogate_moment(h: int, x: float, table: FunctionTable) -> float:

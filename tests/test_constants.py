@@ -178,12 +178,33 @@ _PINNED_B_C = {
 }
 
 
+# (B_closed_corrected, B_closed_uncorrected) as the scalar big-int loops of
+# compute_B_report summed them, at the same limits.  The float64 array terms
+# may differ from the big-int ones in the last bit; the fsum must not.
+_PINNED_B_CLOSED = {
+    500_000: (0.056343892060858373, -0.01827385620039651),
+    501_000: (0.056343892060885505, -0.01827385620036938),
+    502_000: (0.056343892060910776, -0.018273856200344104),
+    503_000: (0.05634389206093353, -0.018273856200321355),
+    504_000: (0.05634389206095918, -0.018273856200295698),
+    505_000: (0.056343892060984696, -0.018273856200270187),
+    506_000: (0.05634389206101241, -0.018273856200242473),
+    507_000: (0.05634389206103763, -0.01827385620021725),
+    10**6: (0.05634389206587304, -0.018273856195381848),
+    10**7: (0.056343892067642246, -0.018273856193612648),
+}
+
+
 def test_b_and_c_pinned_bit_for_bit():
     primes = sieve.primes_up_to(10**7)
+    assert _PINNED_B_CLOSED.keys() == _PINNED_B_C.keys()
     for limit, pinned in _PINNED_B_C.items():
         b = constants.compute_B(limit, primes)
         c = constants.compute_C(constants.compute_A0(limit, primes), b)
         assert (b.value, c.value) == pinned, limit
+        rep = constants.compute_B_report(b, primes)
+        closed = (rep["B_closed_corrected"], rep["B_closed_uncorrected"])
+        assert closed == _PINNED_B_CLOSED[limit], limit
     rep = constants.compute_B_report(constants.compute_B(503_000, primes), primes)
     assert rep["max_per_prime_delta"] == 6.938893903907228e-18
     assert type(rep["max_per_prime_delta"]) is float

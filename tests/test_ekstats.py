@@ -180,10 +180,37 @@ def test_surrogate_mean_golden(table_10k):
     assert d == pytest.approx(LOG2 * mu0, abs=1e-12)
 
 
+def _surrogate_array(x, table):
+    """The surrogate evaluated per n for n = 1..x (index 0 unused): the
+    reference that surrogate_moments's distinct-row evaluation must match."""
+    xi = int(x)
+    pn = LOG2 * table.omega_phi[: xi + 1].astype(np.float64)
+    pn[0] = 0.0
+    for q, logp in ekstats.surrogate_prime_powers(x):
+        wq = sieve.omega_q_table(table, q)[: xi + 1].astype(np.float64)
+        pn += 0.25 * logp * wq * wq
+    return pn
+
+
+@pytest.mark.parametrize("qs_bound", [None, 9])
+def test_distinct_row_moments_match_per_n(table_10k, table_100k, monkeypatch, qs_bound):
+    """Bit for bit, with the surrogate's prime powers as at x (empty below
+    x ~ 1.76e8) and with them forced to the prime powers <= 9, so that every
+    omega_q digit of the row key is exercised."""
+    if qs_bound is not None:
+        qs = sieve.prime_power_list(qs_bound)
+        monkeypatch.setattr(ekstats, "surrogate_prime_powers", lambda x: qs)
+    hs = list(range(1, 9))
+    for x, table in ((1e4, table_10k), (1e5, table_100k)):
+        centered = _surrogate_array(x, table)[1:] - ekstats.surrogate_mean(x, table)
+        per_n = {h: ekstats.chunked_sum(centered**h) for h in hs}
+        assert ekstats.surrogate_moments(hs, x, table) == per_n, x
+
+
 def test_first_moment_two_ways(table_100k):
     x = 1e5
     m1 = ekstats.surrogate_moment(1, x, table_100k)
-    pn = ekstats._surrogate_array(x, table_100k)
+    pn = _surrogate_array(x, table_100k)
     alt = ekstats.chunked_sum(pn[1:]) - 10**5 * ekstats.surrogate_mean(x, table_100k)
     assert m1 == pytest.approx(alt, rel=1e-6)
 
