@@ -85,7 +85,8 @@ def is_subpartition(beta: Partition, alpha: Partition) -> bool:
 
 def _iter_subpartition_parts(parts: tuple[int, ...], bound: int) -> Iterator[tuple[int, ...]]:
     """All nonincreasing tuples b with b[0] <= bound and b[i] <= parts[i],
-    in lexicographic order.  No size cap; used for streaming summation."""
+    in lexicographic order.  No size cap: enumerate_subpartitions, its one
+    caller, applies it."""
     yield ()
     if not parts:
         return

@@ -2,8 +2,9 @@
 
 A p-group Z_{p^a1} x Z_{p^a2} x ... is identified by its partition
 (a1, a2, ...).  Counting works through the classical product formula in
-terms of conjugate partitions and Gaussian binomial coefficients; all
-arithmetic is exact integer arithmetic.
+terms of conjugate partitions and Gaussian binomial coefficients, summed
+column by column for the total count; all arithmetic is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .partitions import Partition, is_subpartition, _iter_subpartition_parts
+from .partitions import Partition, is_subpartition
 from .sieve import is_prime
 
 
@@ -75,18 +76,28 @@ def subgroup_count_of_type(g: PGroupType, beta: Partition) -> int:
 def subgroup_count(g: PGroupType) -> int:
     """Total number of subgroups (as sets) of the p-group of type g.alpha.
 
-    Sums the fixed-type counts over all subpartitions.  Conjugation is an
-    order isomorphism of the subpartition order, so the sum streams over
-    subpartitions b of the conjugate a directly, without materializing the
-    subpartition list.
+    The sum over all subpartitions beta of the fixed-type counts, taken as a
+    transfer sum over the conjugate columns.  With a = alpha' and b = beta',
+    the j-th factor of _count_fixed_conjugates depends only on the adjacent
+    pair (b_j, b_{j+1}), and the subpartitions b of a are the nonincreasing
+    b with b_j <= a_j.  So a sweep from the last column to the first keeps
+    w[v], the sum of the products of factors j.. over the b with b_j = v,
+    and the count is the sum of the final w.  That costs about
+    sum_j (a_j + 1)(a_{j+1} + 1) big-int products, whatever the number of
+    subpartitions.
     """
     a = g.alpha.conjugate().parts
     if not a:
         return 1
-    total = 0
-    for b in _iter_subpartition_parts(a, a[0]):
-        total += _count_fixed_conjugates(a, b, g.p)
-    return total
+    p = g.p
+    gauss = [[_gaussian_binomial(m, k, p) for k in range(m + 1)] for m in range(a[0] + 1)]
+    w = [1]  # past the last column b is 0
+    for aj in reversed(a):
+        w = [
+            sum(wc * p ** ((aj - v) * c) * gauss[aj - c][v - c] for c, wc in enumerate(w[: v + 1]))
+            for v in range(aj + 1)
+        ]
+    return sum(w)
 
 
 def log_subgroup_count_main_term(g: PGroupType) -> float:

@@ -1,6 +1,7 @@
 import math
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from multsub.calibration import LOG_NP_MAIN_TERM_C, ODD_EVEN_SUM_RATIO_MAX
@@ -104,8 +105,63 @@ def test_subgroup_count_examples():
         assert subgroup_count(PGroupType(2, alpha)) == m + 1
 
 
+def _subpartition_sum(g):
+    """The definition: fixed-type counts summed over every subpartition."""
+    return sum(subgroup_count_of_type(g, beta) for beta in enumerate_subpartitions(g.alpha))
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_subgroup_count_matches_subpartition_sum(p):
+    for m in range(11):
+        for alpha in partitions_of(m):
+            g = PGroupType(p, alpha)
+            assert subgroup_count(g) == _subpartition_sum(g), (p, alpha)
+
+
+@pytest.mark.parametrize("parts", [(8, 8, 7, 7, 6, 6, 6, 6), (7, 6, 5, 4, 4, 3, 3, 3, 3, 2)])
+def test_subgroup_count_matches_subpartition_sum_wide_two_sylow(parts):
+    g = PGroupType(2, Partition(parts))
+    assert subgroup_count(g) == _subpartition_sum(g)
+
+
+def test_subgroup_count_rank_two_closed_form():
+    """Z_{p^e1} x Z_{p^e2} has sum_{a | p^e1, b | p^e2} gcd(a, b) subgroups
+    (Hampejs, Holighaus, Toth and Wiesmeyr, 2014)."""
+    for p in SMALL_PRIMES:
+        for e1 in range(11):
+            for e2 in range(e1 + 1):
+                expected = sum(
+                    math.gcd(p**i, p**j) for i in range(e1 + 1) for j in range(e2 + 1)
+                )
+                alpha = Partition(tuple(e for e in (e1, e2) if e))
+                assert subgroup_count(PGroupType(p, alpha)) == expected, (p, e1, e2)
+
+
+def test_subgroup_count_elementary_abelian_recursion():
+    """The Galois numbers G_k of (Z_p)^k satisfy G_{k+1} = 2 G_k + (p^k - 1) G_{k-1}
+    (Goldman and Rota, 1969)."""
+    for p in (2, 3, 5, 7):
+        prev, cur = 1, 2  # G_0, G_1
+        for k in range(1, 21):
+            assert subgroup_count(PGroupType(p, Partition((1,) * k))) == cur, (p, k)
+            prev, cur = cur, 2 * cur + (p**k - 1) * prev
+
+
+def _addition_table(orders):
+    """Cayley table of Z_{o_1} x Z_{o_2} x ... on the mixed-radix codes
+    x = d_1 + o_1 d_2 + o_1 o_2 d_3 + ..., built digit by digit."""
+    x = np.arange(math.prod(orders), dtype=np.int64)
+    table = np.zeros((x.size, x.size), dtype=np.int64)
+    place = 1
+    for o in orders:
+        d = x // place % o
+        table += (d[:, None] + d[None, :]) % o * place
+        place *= o
+    return table.tolist()
+
+
 def test_subgroup_count_matches_closure_oracle():
-    """Closure enumeration agrees with the product formula on every abelian
+    """Closure enumeration agrees with subgroup_count on every abelian
     p-group of order <= 512 within the oracle budget; the 19 two-group shapes
     with more than 3000 subgroups are skipped (enumerating them is minutes of
     work for no extra formula coverage)."""
@@ -120,30 +176,8 @@ def test_subgroup_count_matches_closure_oracle():
                 if expected > budget:
                     skipped += 1
                     continue
-                orders = [p**a for a in alpha.parts]
-                size = math.prod(orders)
-                elements = list(range(size))
-
-                def decode(x):
-                    out = []
-                    for o in orders:
-                        out.append(x % o)
-                        x //= o
-                    return out
-
-                def encode(t):
-                    x = 0
-                    for v, o in zip(reversed(t), reversed(orders)):
-                        x = x * o + v
-                    return x
-
-                table = [
-                    [
-                        encode([(u + v) % o for u, v, o in zip(decode(a), decode(b), orders)])
-                        for b in elements
-                    ]
-                    for a in elements
-                ]
+                table = _addition_table([p**a for a in alpha.parts])
+                elements = list(range(len(table)))
                 mul = lambda a, b: table[a][b]  # noqa: E731
                 subs = closure_subgroup_enumeration(elements, mul, 0, max_subgroups=budget)
                 assert len(subs) == expected, (p, alpha)
