@@ -297,11 +297,9 @@ def distribution_report(x: int, which: str, table: FunctionTable,
         mean_coeff, var_coeff = LOG2 / 2.0, LOG2 / 3.0
 
     n_min = 16  # smallest integer above e^e
-    logs = multgroup.log_counts(table, x)[0 if which == "G" else 1].tolist()
-    samples = np.empty(x - n_min + 1, dtype=np.float64)
-    for i, n in enumerate(range(n_min, x + 1)):
-        ll = math.log(math.log(n))
-        samples[i] = (logs[n] - mean_coeff * ll**2) / math.sqrt(var_coeff * ll**3)
+    logs = multgroup.log_counts(table, x)[0 if which == "G" else 1]
+    ll = np.log(np.log(np.arange(n_min, x + 1, dtype=np.float64)))
+    samples = (logs[n_min:] - mean_coeff * ll**2) / np.sqrt(var_coeff * ll**3)
 
     moments = {h: chunked_sum(samples**h) / len(samples) for h in (1, 2, 3, 4)}
     report = DistributionReport(

@@ -56,14 +56,6 @@ def scan_max(N: int, which: str, table: FunctionTable) -> ExtremalRecord:
     return ExtremalRecord(best_n, best, _normalized(best, math.log(best_n), which), "scan")
 
 
-def theta_progression(v_limit: float, p: int, primes: np.ndarray | None = None) -> float:
-    """Chebyshev sum over the progression: sum of log q over primes
-    q <= v_limit with q = 1 (mod p)."""
-    ps = primes_up_to(v_limit) if primes is None else primes[primes <= v_limit]
-    qs = ps[(ps - 1) % p == 0]
-    return float(np.sum(np.log(qs.astype(np.float64)))) if len(qs) else 0.0
-
-
 def construct_G_extremal(x: float, bv_exponent: int = 0) -> ExtremalRecord:
     """Build n < x with one heavily populated prime progression, making
     log G(n) large: choose a prime p from (Q, 2Q) whose progression 1 mod p
@@ -135,17 +127,6 @@ def construct_I_extremal(x: float) -> ExtremalRecord:
     return ExtremalRecord(q, value, _normalized(value, math.log(q), "I"), "construction")
 
 
-def partition_count(m: int) -> int:
-    """Number of partitions of m, by the standard quadratic-time table."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    table = [1] + [0] * m
-    for part in range(1, m + 1):
-        for s in range(part, m + 1):
-            table[s] += table[s - part]
-    return table[m]
-
-
 @dataclass(frozen=True)
 class BoundCheckReport:
     N: int
@@ -166,23 +147,24 @@ def _i_cap(table: FunctionTable, N: int) -> np.ndarray:
     """pi sqrt(2/3) * sum over p | phi(n) of sqrt(nu_p(phi(n))), for 0 <= n <= N
     (0 where phi(n) = 1), with the terms added in ascending p.
 
-    For p <= sqrt(N), nu_p(phi(n)) comes from dividing the totient column by p
-    for as long as p divides it.  A prime above sqrt(N) divides phi(n) at most
-    once, and there are omega(phi(n)) minus the small ones of them."""
-    phi = table.phi[: N + 1]
-    total = np.zeros(N + 1)
-    n_large = table.omega_phi[: N + 1].astype(np.int64)
+    The sum is an additive function of m = phi(n) <= N, so it is sieved over
+    m: each p <= sqrt(N) adds sqrt(nu_p(m)) at the multiples of p, with
+    nu_p(m) counted from one slice per power of p, and 1 to the number of
+    small primes dividing m.  At most one prime above sqrt(N) divides m, and
+    one does where omega(m) exceeds that number."""
+    f = np.zeros(N + 1)
+    small = np.zeros(N + 1, dtype=np.uint8)
     for p in table.primes[table.primes <= math.isqrt(N)].tolist():
-        on = np.flatnonzero(phi[1:] % p == 0) + 1  # n = 0 skipped: phi holds 0 there
-        n_large[on] -= 1
-        nu = np.ones(on.size)
-        rest, at = phi[on] // p, np.arange(on.size)
-        while (more := rest % p == 0).any():
-            rest, at = rest[more] // p, at[more]
-            nu[at] += 1
-        total[on] += np.sqrt(nu)
-    for k in range(int(n_large.max(initial=0))):
-        total[n_large > k] += 1.0
+        nu = np.ones(N // p, dtype=np.uint8)  # nu[k - 1] = nu_p(k p)
+        q = p
+        while q <= N // p:
+            nu[q - 1::q] += 1
+            q *= p
+        f[p::p] += np.sqrt(nu, dtype=np.float64)
+        small[p::p] += 1
+    phi = table.phi[: N + 1]
+    total = f[phi]
+    total[table.omega_phi[: N + 1] > small[phi]] += 1.0
     return PI_SQRT_2_3 * total
 
 

@@ -9,6 +9,7 @@ counts G(n) and I(n), and an independent closure-based enumeration oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import groupby
 from math import gcd
 
@@ -278,11 +279,11 @@ _KEY_DIGITS = (32 ** np.arange(13, dtype=np.int64) - 1) // 31
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _conjugate_columns(primes: np.ndarray, N: int, p: int) -> list[np.ndarray]:
-    """[a_1, a_2, ...] over [0, N] with a_j(n) = omega_bar(n, p, j): omega_{p^j}
-    from the primes q = 1 (mod p^j), plus the boundary term of the p-power part
-    of n.  The list stops before the first column that is zero everywhere."""
-    cols = []
+def _conjugate_columns(primes: np.ndarray, N: int, p: int) -> Iterator[np.ndarray]:
+    """Yields a_1, a_2, ... over [0, N], one column at a time, with
+    a_j(n) = omega_bar(n, p, j): omega_{p^j} from the primes q = 1 (mod p^j),
+    plus the boundary term of the p-power part of n.  Stops before the first
+    column that is zero everywhere."""
     j = 1
     while True:
         a = sieve.prime_divisor_counts(primes[(primes - 1) % p**j == 0], N)
@@ -295,8 +296,8 @@ def _conjugate_columns(primes: np.ndarray, N: int, p: int) -> list[np.ndarray]:
         for d in own:
             a[d::d] += 1
         if not a.any():
-            return cols
-        cols.append(a)
+            return
+        yield a
         j += 1
 
 
@@ -327,11 +328,12 @@ def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
     of the exact counts (0 at n = 0 and 1).
 
     Only the p-Sylow components with p <= sqrt(N) can have rank 2 or more.
-    For each such p the conjugate columns omega_bar(n, p, j) are built for
-    all n at once; a cyclic component Z_{p^e} gives e + 1 to both counts, and
-    each distinct component of higher rank is counted once per call.  Above
-    sqrt(N) every prime dividing phi(n) is a cyclic factor Z_p and doubles
-    both counts; there are omega(phi(n)) minus the small ones of them.
+    For each such p the n with p | phi(n) are those where the first conjugate
+    column is nonzero; each column omega_bar(n, p, j) then adds its digits to
+    one partition key per such n, and each distinct component, cyclic ones
+    included, is counted once per call.  Above sqrt(N) every prime dividing
+    phi(n) is a cyclic factor Z_p and doubles both counts; there are
+    omega(phi(n)) minus the small ones of them.
     """
     if not 1 <= N <= table.N:
         raise ValueError(f"need 1 <= N <= table.N = {table.N}, got {N}")
@@ -341,24 +343,18 @@ def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
     n_large = table.omega_phi[: N + 1].astype(np.int64)  # primes > sqrt(N) dividing phi(n)
     for p in primes[primes <= math.isqrt(N)].tolist():
         cols = _conjugate_columns(primes, N, p)
-        on = np.flatnonzero(cols[0])  # the n with p | phi(n)
+        first = next(cols)  # nonzero at n = p^2 <= N
+        on = np.flatnonzero(first)  # the n with p | phi(n)
+        keys = _KEY_DIGITS[first[on]]
+        for a in cols:
+            keys += _KEY_DIGITS[a[on]]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        per_key = np.array([(subgroup_count(PGroupType(p, alpha)), count_subpartitions(alpha))
+                            for alpha in map(_key_partition, distinct.tolist())],
+                           dtype=np.int64)  # raises OverflowError past int64
         n_large[on] -= 1
-        cols = [a[on] for a in cols]
-        f_g = sum(a > 0 for a in cols).astype(np.int64) + 1  # lambda_p(n) + 1
-        f_i = f_g.copy()
-        rank2 = np.flatnonzero(cols[0] >= 2)
-        if rank2.size:
-            keys = sum(_KEY_DIGITS[a[rank2]] for a in cols)
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            per_key = []
-            for key in distinct.tolist():
-                alpha = _key_partition(key)
-                per_key.append((subgroup_count(PGroupType(p, alpha)), count_subpartitions(alpha)))
-            per_key = np.array(per_key, dtype=np.int64)  # raises OverflowError past int64
-            f_g[rank2] = per_key[inverse, 0]
-            f_i[rank2] = per_key[inverse, 1]
-        g[on] = _checked_product(g[on], f_g)
-        i[on] = _checked_product(i[on], f_i)
+        g[on] = _checked_product(g[on], per_key[inverse, 0])
+        i[on] = _checked_product(i[on], per_key[inverse, 1])
     doubling = np.left_shift(1, n_large)
     return _exact_logs(_checked_product(g, doubling)), _exact_logs(_checked_product(i, doubling))
 

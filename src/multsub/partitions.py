@@ -129,7 +129,7 @@ def count_subpartitions(alpha: Partition) -> int:
     return tail(0, parts[0] if parts else 0)
 
 
-def partitions_of(m: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(m: int) -> Iterator[Partition]:
     """All partitions of m (largest-first lexicographic order)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -142,6 +142,5 @@ def partitions_of(m: int, max_part: int | None = None) -> Iterator[Partition]:
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
 
-    bound = m if max_part is None else min(max_part, m)
-    for t in rec(m, bound):
+    for t in rec(m, m):
         yield Partition(t)

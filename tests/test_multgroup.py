@@ -260,6 +260,32 @@ def test_count_examples():
     assert mg.count_subgroup_isoclasses(15) == 5
 
 
+def divisors(m):
+    divs = [1]
+    for p, e in mg.factorize(m):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return divs
+
+
+def test_rank_two_closed_forms():
+    # odd n = q1^e1 q2^e2 has (Z/nZ)^x = Z_m1 x Z_m2 with m_i = phi(q_i^e_i), so
+    # G = sum over a | m1, b | m2 of gcd(a, b) (Hampejs, Holighaus, Toth and
+    # Wiesmeyr, 2014), and the subgroup types are Z_a x Z_b with a | b,
+    # a | gcd(m1, m2) and b | lcm(m1, m2)
+    checked = 0
+    for n in range(3, 2 * 10**4 + 1, 2):
+        f = mg.factorize(n)
+        if len(f) != 2:
+            continue
+        m1, m2 = ((q - 1) * q ** (e - 1) for q, e in f)
+        d1, d2, dl = divisors(m1), divisors(m2), divisors(math.lcm(m1, m2))
+        g = sum(math.gcd(a, b) for a in d1 for b in d2)
+        i = sum(b % a == 0 for a in divisors(math.gcd(m1, m2)) for b in dl)
+        assert mg.subgroup_counts(n) == (g, i), n
+        checked += 1
+    assert checked == 4835
+
+
 def test_oracle_examples():
     assert len(mg.enumerate_subgroups_oracle(8)) == 5
     assert len(mg.enumerate_subgroups_oracle(3)) == 2
