@@ -15,6 +15,8 @@ import sys
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
+
 from . import constants as constants_mod
 from . import ekstats, extremal, multgroup, polyops, sieve
 
@@ -53,13 +55,20 @@ def cmd_scan(args) -> int:
         print("scan: --max must be at least 2", file=sys.stderr)
         return 2
     table = sieve.build(n_max)
-    cols = (table.phi, table.omega_phi, table.bigomega_phi, *multgroup.log_counts(table, n_max))
-    rows = ["n,phi,omega_phi,bigomega_phi,logG,logI"]
-    for n, phi, w, big_w, log_g, log_i in zip(range(2, n_max + 1),
-                                              *(c[2:].tolist() for c in cols)):
-        rows.append(f"{n},{phi},{w},{big_w},{log_g:.6f},{log_i:.6f}")
-    _emit("\n".join(rows) + "\n", args.out)
+    log_g, log_i = multgroup.log_counts(table, n_max)
+    fields = (map(str, range(2, n_max + 1)), map(str, table.phi[2:].tolist()),
+              _per_value(table.omega_phi[2:], str), _per_value(table.bigomega_phi[2:], str),
+              _per_value(log_g[2:], "{:.6f}".format), _per_value(log_i[2:], "{:.6f}".format))
+    rows = "\n".join(map(",".join, zip(*fields)))
+    _emit(f"n,phi,omega_phi,bigomega_phi,logG,logI\n{rows}\n", args.out)
     return 0
+
+
+def _per_value(col: np.ndarray, fmt) -> list[str]:
+    """fmt of each entry of col, formatted once per distinct value."""
+    values, inverse = np.unique(col, return_inverse=True)
+    text = [fmt(v) for v in values.tolist()]
+    return [text[k] for k in inverse.tolist()]
 
 
 def cmd_distribution(args) -> int:
@@ -129,11 +138,11 @@ def cmd_verify(args) -> int:
 
     mismatch = []
     for n in range(1, args.max + 1):
-        g, i = multgroup.subgroup_counts(n)
         try:
             subs = multgroup.enumerate_subgroups_oracle(n, cap=args.oracle_cap)
         except multgroup.OracleCapError:
             continue
+        g, i = multgroup.subgroup_counts(n)
         go, io = len(subs), multgroup.classify_isoclasses_oracle(n, subs=subs)
         if g != go or i != io:
             mismatch.append((n, g, go, i, io))

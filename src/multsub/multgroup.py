@@ -383,10 +383,11 @@ def _closure(H: frozenset, g, mul) -> frozenset:
     return frozenset(S)
 
 
-def _cyclic_walk(elements, mul, identity) -> list:
-    """One generator for each distinct cyclic subgroup, from the powers of
-    each element not yet known as a generator."""
-    gens, covered = [], set()
+def _prime_power_steps(elements, mul, identity) -> list[tuple]:
+    """(order, g, g^p) for one generator g of each cyclic subgroup of prime-power
+    order p^k > 1, sorted by order, from the powers of each element not yet
+    known as a generator."""
+    steps, covered = [], set()
     for g in elements:
         if g in covered:
             continue
@@ -396,35 +397,52 @@ def _cyclic_walk(elements, mul, identity) -> list:
             powers.append(x)
             x = mul(x, g)
         m = len(powers)
-        gens.append(g)
         covered.update(x for k, x in enumerate(powers) if gcd(k, m) == 1)  # generators of <g>
-    return gens
+        p = next((d for d in range(2, m + 1) if m % d == 0), 0)  # least prime factor of m
+        if p and pow(p, m, m) == 0:  # m is a power of p
+            steps.append((m, g, powers[p % m]))
+    steps.sort(key=lambda step: step[0])
+    return steps
 
 
 def closure_subgroup_enumeration(elements, mul, identity,
                                  max_subgroups: int | None = None) -> list[tuple]:
-    """Every subgroup of a finite abelian group, found by breadth-first
-    closure over cyclic-subgroup joins: extend each known subgroup H by one
-    generator of each cyclic subgroup <g>.  Every subgroup is a join of cyclic
-    subgroups and H v <g> depends only on <g>, so this reaches every subgroup.
-    Returns canonical sorted element tuples."""
-    gens = _cyclic_walk(elements, mul, identity)
+    """Every subgroup of a finite abelian group, as canonical sorted element
+    tuples, each reached once by a depth-first search over index-p steps.
+
+    Every subgroup K is the join of the prime-power cyclic subgroups in it.
+    Number the generators of the group's prime-power cyclic subgroups g_0,
+    g_1, ... by ascending order (`_prime_power_steps`) and let
+    S(K) = {i : g_i in K}.  K's canonical chain starts at the trivial group
+    and at each step joins g_i for the smallest i in S(K) not yet in S(H).
+    Its indices increase, and its prefixes are the canonical chains of their
+    own subgroups.  The search extends H, reached along its chain with last
+    index `last`, by g_i only when (1) i > last, (2) g_i^p is in H and (3) no
+    g_j outside H with j < i lies in K = H v <g_i>.  Rules 1 and 3 say that
+    H's chain followed by i is K's canonical chain, so K is reached from one
+    parent only.  Each canonical chain meets rules 1 and 3 by construction,
+    and rule 2 because <g_i^p> is trivial or generated by some g_j of smaller
+    order, so j < i lies in S(K) and already in S(H).  Rule 2 only prunes:
+    it makes K exactly p cosets of H.
+    """
+    steps = _prime_power_steps(elements, mul, identity)
+    gens = [g for _, g, _ in steps]
     base = frozenset([identity])
-    found = {base}
-    queue = [base]
-    while queue:
-        H = queue.pop()
-        for g in gens:
-            if g in H:
+    found = [base]
+    stack = [(base, -1)]
+    while stack:
+        H, last = stack.pop()
+        outside = [i for i, g in enumerate(gens) if g not in H]
+        for pos, i in enumerate(outside):
+            if i <= last or steps[i][2] not in H:
                 continue
-            K = _closure(H, g, mul)
-            if K not in found:
-                if max_subgroups is not None and len(found) >= max_subgroups:
-                    raise OracleCapError(
-                        f"more than {max_subgroups} subgroups; cap exceeded"
-                    )
-                found.add(K)
-                queue.append(K)
+            K = _closure(H, gens[i], mul)
+            if any(gens[j] in K for j in outside[:pos]):
+                continue
+            if max_subgroups is not None and len(found) >= max_subgroups:
+                raise OracleCapError(f"more than {max_subgroups} subgroups; cap exceeded")
+            found.append(K)
+            stack.append((K, i))
     return sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t))
 
 

@@ -337,7 +337,8 @@ def test_oracle_matches_all_elements_search():
 
 
 @pytest.mark.parametrize("orders", [(6,), (12,), (2, 6), (2, 10), (3, 6), (4, 6),
-                                    (2, 2, 6), (6, 6)])
+                                    (2, 2, 6), (6, 6), (2, 2, 2, 2, 2), (3, 3, 3),
+                                    (4, 4, 2)])
 def test_cyclic_join_closure_on_mixed_abelian_groups(orders):
     elements = list(product(*(range(o) for o in orders)))
     index = {x: i for i, x in enumerate(elements)}
