@@ -125,22 +125,27 @@ def f_r(r: int, a: int) -> Fraction:
     return out
 
 
-def oscillation(q: int, a: int, x: float, table: FunctionTable | None = None,
+def oscillation(q: int, a, x: float, table: FunctionTable | None = None,
                 exact: bool = False):
     """F_g(a) = sum_{p <= x} g(p) f_p(a), the oscillating part of g(a) around
     mu(g; x); satisfies  mu(q, x) + oscillation(q, a, x) = g(a)  exactly for
-    a <= x."""
+    a <= x.  A sequence of a gives a list with one value per a, from one
+    pass over the primes."""
     _check_function_id(q)
-    if a < 1:
+    many = not isinstance(a, (int, np.integer))
+    values = list(a) if many else [a]
+    if any(b < 1 for b in values):
         raise ValueError("a must be positive")
     if exact:
-        hit = sum(_g_exact(q, p) for p, _ in multgroup.factorize(a) if p <= x)
-        return hit - _exact_mu(q, int(x))
-    if table is None or table.N < x:
-        raise ValueError("float mode needs a FunctionTable covering x")
-    pi, g, invp = _float_state(q, x, table)
-    ind = (a % pi == 0).astype(np.float64)
-    return chunked_sum(g * (ind - invp))
+        mu_x = _exact_mu(q, int(x))
+        out = [sum(_g_exact(q, p) for p, _ in multgroup.factorize(b) if p <= x) - mu_x
+               for b in values]
+    else:
+        if table is None or table.N < x:
+            raise ValueError("float mode needs a FunctionTable covering x")
+        pi, g, invp = _float_state(q, x, table)
+        out = [chunked_sum(g * ((b % pi == 0).astype(np.float64) - invp)) for b in values]
+    return out if many else out[0]
 
 
 def squarefull_mean_density(m: int) -> Fraction:

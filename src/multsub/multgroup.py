@@ -21,7 +21,7 @@ from . import sieve
 from .sieve import FunctionTable
 
 DEFAULT_ORACLE_CAP = 1024
-_RHO_MAX_R = 1 << 21  # rho gives up once its cycle-length guess passes this
+_RHO_MAX_R = 1 << 21  # a rho walk stops once its cycle-length guess passes this
 
 
 class OracleCapError(ValueError):
@@ -32,10 +32,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Exact prime factorization as (prime, exponent) pairs, primes ascending.
 
     Uses trial division below 1000, then `sieve.is_prime`, an integer square
-    root for perfect squares and Brent's variant of Pollard's rho for the rest.
-    Raises ValueError for a probable prime of at least `sieve.IS_PRIME_LIMIT`,
-    where that test stops being exact, and when rho runs out of steps (two
-    prime factors both above about 1e13).
+    root for perfect squares and Brent's variant of Pollard's rho for the rest:
+    one walk that splits off each prime it meets (`_rho_split`), whose pieces
+    come back here to be certified or split again.  Raises ValueError for a
+    probable prime of at least `sieve.IS_PRIME_LIMIT`, where that test stops
+    being exact, and when rho runs out of steps (two prime factors both above
+    about 1e13).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -70,21 +72,23 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 big.append(x)
             else:
                 r = math.isqrt(x)  # a square splits into two copies of its root
-                f = r if r * r == x else _rho_factor(x)
-                rest += [f, x // f]
+                rest += [r, r] if r * r == x else _rho_split(x)
         return out + [(p, len(list(g))) for p, g in groupby(sorted(big))]
     if m > 1:
         out.append((m, 1))
     return out
 
 
-def _rho_factor(n: int) -> int:
-    """A proper factor of the odd composite n: Brent's cycle search on
-    y -> y^2 + c mod n, with the differences of each batch of 128 steps
-    multiplied into one gcd."""
+def _rho_split(n: int) -> list[int]:
+    """At least two factors of the odd composite n, with product n, from
+    Brent's cycle search on y -> y^2 + c mod n with one gcd per batch of 128
+    steps.  A batch that meets a factor is replayed step by step: each factor
+    met is split off and the walk goes on modulo the cofactor until that is
+    prime or a square.  A step that meets every prime left ends the walk with
+    the cofactor as one piece, or, before any split, moves on to the next c."""
     for c in range(1, 9):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1 and r <= _RHO_MAX_R:
+        pieces, y, r, q, g = [], 2, 1, 1, 1
+        while g != n and r <= _RHO_MAX_R:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -93,18 +97,26 @@ def _rho_factor(n: int) -> int:
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                if (g := gcd(q, n)) != 1:
+                if gcd(q, n) == 1:
+                    continue
+                y, q = ys, 1
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    while (g := gcd(abs(x - y), n)) not in (1, n):
+                        pieces.append(g)
+                        n //= g
+                        if sieve.is_prime(n) or math.isqrt(n) ** 2 == n:
+                            return pieces + [n]
+                        x, y = x % n, y % n
+                    if g == n:
+                        break
+                if g == n:
                     break
             r *= 2
-        if g == 1:
+        if g != n:
             break  # step budget spent
-        if g == n:  # the batch overshot: redo it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if 1 < g < n:
-            return g
+        if pieces:
+            return pieces + [n]
     raise ValueError(f"Pollard-Brent rho found no factor of {n} within its step budget")
 
 

@@ -67,11 +67,17 @@ def test_mean_plus_oscillation_identity_exact_small():
 
 def test_mean_plus_oscillation_identity_float(table_10k):
     x = 10**4
+    ns = range(1, x + 1)
     for q in (2, 3, 4, 5, 7):
         m = ekstats.mu(q, x, table_10k)
-        for n in range(1, x + 1):
-            got = m + ekstats.oscillation(q, n, x, table_10k)
-            assert abs(got - multgroup.omega_q(n, q)) <= 1e-9, (q, n)
+        osc = ekstats.oscillation(q, ns, x, table_10k)
+        assert len(osc) == x
+        for n, f in zip(ns, osc):
+            assert abs(m + f - multgroup.omega_q(n, q)) <= 1e-9, (q, n)
+        # one value per a, bit for bit the single-a call, which stays a float
+        for n in (1, 2, 3 * 7 * 11, 4096, 9973, x):
+            one = ekstats.oscillation(q, n, x, table_10k)
+            assert type(one) is float and one == osc[n - 1], (q, n)
 
 
 def test_omega0_oscillation_reconstructs_prime_contributions():

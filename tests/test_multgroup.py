@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multsub import cli
 from multsub import multgroup as mg
 from multsub import sieve
 from multsub.partitions import Partition, count_subpartitions
@@ -84,7 +85,9 @@ def test_factorize_products_of_many_primes(ps):
 
 def test_factorize_refuses_uncertified_primes():
     big = sympy.nextprime(sieve.IS_PRIME_LIMIT)
-    for n in (big, 6 * big, 2**89 - 1):
+    # the last is left as rho's cofactor once ten primes near 3e5 split off
+    ps = [sympy.nextprime(3 * 10**5 + 997 * i) for i in range(10)]
+    for n in (big, 6 * big, 2**89 - 1, math.prod(ps) * big):
         with pytest.raises(ValueError, match="cannot certify"):
             mg.factorize(n)
     # composite cofactors above the limit still split
@@ -92,11 +95,39 @@ def test_factorize_refuses_uncertified_primes():
     check_product([q, sympy.nextprime(sieve.IS_PRIME_LIMIT // q)])
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.lists(primes_in(10**3, 10**5), min_size=20, max_size=30))
+def test_factorize_products_of_many_small_primes(ps):
+    # cycles of a few hundred steps: several primes meet inside one batch
+    check_product(ps)
+
+
+@settings(max_examples=10, deadline=None)
+@given(primes_in(1001, 10**6), primes_in(1001, 10**6), primes_in(1001, 10**6))
+def test_factorize_repeated_factors_off_squares(p, q, r):
+    # not squares, so rho splits them and meets p again in a cofactor
+    check_product([p, p, q])
+    check_product([p, p, p, q, r])
+
+
+def test_factorize_reports_spent_step_budget(monkeypatch, capsys):
+    monkeypatch.setattr(mg, "_RHO_MAX_R", 1 << 6)
+    n = sympy.nextprime(10**11) * sympy.nextprime(2 * 10**11)
+    with pytest.raises(ValueError, match="step budget"):
+        mg.factorize(n)
+    # small primes split off first; the error names the cofactor left
+    with pytest.raises(ValueError, match=f"no factor of {n} within its step budget"):
+        mg.factorize(1009 * 1013 * n)
+    assert cli.run(["count", str(n)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("count: ") and "step budget" in err
+
+
 def test_factorize_splits_squares_without_rho(monkeypatch):
     def no_rho(n):
         raise AssertionError(f"rho called on {n}")
 
-    monkeypatch.setattr(mg, "_rho_factor", no_rho)
+    monkeypatch.setattr(mg, "_rho_split", no_rho)
     p = 999999000001  # prime, near 1e12
     assert mg.factorize(p**2) == [(p, 2)]
     assert mg.factorize(p**4) == [(p, 4)]
