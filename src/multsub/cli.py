@@ -91,7 +91,7 @@ def cmd_moments(args) -> int:
     table = sieve.build(args.x)
     hs = list(range(1, args.h_max + 1))
     ms = ekstats.surrogate_moments(hs, args.x, table)
-    c = constants_mod.normalization()[1]
+    c = constants_mod.NORMALIZATION[1]
     ll3 = math.log(math.log(args.x)) ** 3
     rows = ["h,x,M_h,normalized"]
     for h in hs:
@@ -128,6 +128,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--max", args.max), ("--oracle-cap", args.oracle_cap)):
+        if value < 1:  # the oracle would compare no n, and the check would pass vacuously
+            print(f"verify: {flag} must be at least 1", file=sys.stderr)
+            return 2
     failures = 0
 
     def check(label: str, ok: bool) -> None:
@@ -197,6 +201,16 @@ def cmd_extremal(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multsub",
@@ -229,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="evaluate the mean/variance constants")
     p.add_argument("--prime-limit", type=int, default=10**6)
-    p.add_argument("--X", type=float, default=10**4)
+    p.add_argument("--X", type=_finite_float, default=10**4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_constants)
 
@@ -246,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_extremal)
     pc = psub.add_parser("construct")
-    pc.add_argument("--x", type=float, required=True)
+    pc.add_argument("--x", type=_finite_float, required=True)
     pc.add_argument("--which", choices=("G", "I"), default="G")
     pc.add_argument("--bv-exponent", type=int, default=0)
     pc.add_argument("--out", default=None)

@@ -297,7 +297,7 @@ def distribution_report(x: int, which: str, table: FunctionTable,
     if table.N < x:
         raise ValueError("table must cover x")
     if which == "G":
-        mean_coeff, var_coeff = constants.normalization()
+        mean_coeff, var_coeff = constants.NORMALIZATION
     else:
         mean_coeff, var_coeff = LOG2 / 2.0, LOG2 / 3.0
 

@@ -89,15 +89,28 @@ def subgroup_count(g: PGroupType) -> int:
     a = g.alpha.conjugate().parts
     if not a:
         return 1
-    p = g.p
-    gauss = [[_gaussian_binomial(m, k, p) for k in range(m + 1)] for m in range(a[0] + 1)]
+    r = a[0]
+    pw = [1]  # pw[e] = p^e; (aj - v) c <= r^2/4, and r - 1 <= r^2/4 too
+    for _ in range(r * r // 4):
+        pw.append(pw[-1] * g.p)
+    gauss = _gaussian_rows(r, pw)
     w = [1]  # past the last column b is 0
     for aj in reversed(a):
         w = [
-            sum(wc * p ** ((aj - v) * c) * gauss[aj - c][v - c] for c, wc in enumerate(w[: v + 1]))
+            sum(wc * pw[(aj - v) * c] * gauss[aj - c][v - c] for c, wc in enumerate(w[: v + 1]))
             for v in range(aj + 1)
         ]
     return sum(w)
+
+
+def _gaussian_rows(r: int, pw: list[int]) -> list[list[int]]:
+    """Rows m = 0..r of Gaussian binomials [m, k]_p, k = 0..m, by the q-Pascal
+    recurrence [m, k] = [m-1, k-1] + p^k [m-1, k]; pw[k] = p^k for k < r."""
+    rows = [[1]]
+    for m in range(1, r + 1):
+        prev = rows[-1]
+        rows.append([1, *(prev[k - 1] + pw[k] * prev[k] for k in range(1, m)), 1])
+    return rows
 
 
 def log_subgroup_count_main_term(g: PGroupType) -> float:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from multsub import constants
 from multsub.cli import run
 
 
@@ -59,9 +61,40 @@ def test_constants_json(tmp_path):
 
 
 def test_verify_exit_code(capsys):
-    assert run(["verify", "--max", "50"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 3
+    assert run(["verify", "--max", "141"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS  subgroup counts match closure oracle for n <= 141\n"
+        "PASS  pairing operator reproduces the degree-4 reference expansion\n"
+        "PASS  permutation-to-pairing map has uniform fibers of size 2^(k/2)\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--max", "0"], "--max"),
+    (["verify", "--max", "-3"], "--max"),
+    (["verify", "--max", "5", "--oracle-cap", "0"], "--oracle-cap"),
+    (["verify", "--max", "5", "--oracle-cap", "-1"], "--oracle-cap"),
+])
+def test_verify_refuses_empty_comparison(capsys, argv, flag):
+    # With no n compared, the oracle check would print PASS having checked nothing.
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert f"verify: {flag} must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["constants", "--prime-limit", "1000", "--X", "inf"], "--X"),
+    (["constants", "--prime-limit", "1000", "--X", "nan"], "--X"),
+    (["constants", "--prime-limit", "1000", "--X=-inf"], "--X"),
+    (["extremal", "construct", "--x", "inf"], "--x"),
+    (["extremal", "construct", "--x", "nan"], "--x"),
+    (["extremal", "construct", "--x", "1e400"], "--x"),
+])
+def test_non_finite_float_flags_are_usage_errors(capsys, argv, flag):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a finite number" in captured.err
 
 
 def test_moments_csv(tmp_path):
@@ -71,6 +104,26 @@ def test_moments_csv(tmp_path):
     assert lines[0] == "h,x,M_h,normalized"
     assert len(lines) == 4
     assert lines[1].startswith("1,20000,")
+
+
+def test_moments_and_distribution_read_the_pinned_normalization(monkeypatch, capsys):
+    # Neither command sums A0 or B: both read constants.NORMALIZATION, and
+    # their bytes are those of the definitional sums at 10^6 primes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the normalization was summed")
+
+    monkeypatch.setattr(constants, "compute_A0", refuse)
+    monkeypatch.setattr(constants, "compute_B", refuse)
+    assert run(["moments", "--x", "20000", "--h-max", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "h,x,M_h,normalized\n"
+        "1,20000,-16648.009554603916,-0.21053918012028325\n"
+        "2,20000,18688.86071460982,0.05977974316388842\n")
+    assert run(["distribution", "--x", "2000", "--which", "G"]) == 0
+    out = capsys.readouterr().out
+    assert '"variance_coefficient": 1.2967338448823222' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "07622076d7e91182c46cfccc9e9a0936b1fa925fc0dd902e14aa7e4733330209")
 
 
 def test_distribution_json(tmp_path):

@@ -157,8 +157,10 @@ def test_constants_command_sums_each_series_once(monkeypatch, tmp_path):
 def test_normalization_pins_moments_and_distribution():
     # (A, C) at 10^6 primes: `moments` and `distribution --which G` print
     # values scaled by these, so any change here changes their bytes.
+    # The callers read the constant; the definitional sum checks it.
     assert constants.NORMALIZATION_PRIME_LIMIT == 10**6
-    assert constants.normalization() == (0.7210897254115849, 1.2967338448823222)
+    pinned = (0.7210897254115849, 1.2967338448823222)
+    assert constants.normalization() == constants.NORMALIZATION == pinned
 
 
 # (B, C) as the scalar math.log loop summed them, at the `constants` prime

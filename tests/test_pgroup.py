@@ -9,6 +9,7 @@ from multsub.multgroup import closure_subgroup_enumeration
 from multsub.partitions import Partition, enumerate_subpartitions, partitions_of
 from multsub.pgroup import (
     PGroupType,
+    _gaussian_rows,
     gaussian_binomial,
     log_subgroup_count_main_term,
     subgroup_count,
@@ -44,6 +45,15 @@ def test_gaussian_binomial_rejects_composite_modulus():
         gaussian_binomial(4, 2, 4)
     with pytest.raises(ValueError):
         gaussian_binomial(-1, 0, 2)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 73))
+def test_gaussian_rows_match_gaussian_binomial(p):
+    # subgroup_count's table, by the q-Pascal recurrence, against the product formula
+    rows = _gaussian_rows(16, [p**k for k in range(16)])
+    assert [len(row) for row in rows] == list(range(1, 18))
+    for m, row in enumerate(rows):
+        assert row == [gaussian_binomial(m, k, p) for k in range(m + 1)], (p, m)
 
 
 def test_gaussian_binomial_symmetry_grid():
