@@ -188,6 +188,9 @@ def cmd_extremal(args) -> int:
     if args.action == "scan":
         table = sieve.build(args.max)
         rec = extremal.scan_max(args.max, args.which, table)
+    elif args.bv_exponent < 0:  # a negative exponent makes V grow past (log x)^2
+        print("extremal construct: --bv-exponent must be at least 0", file=sys.stderr)
+        return 2
     else:
         try:
             if args.which == "G":
@@ -211,68 +214,64 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+_OUT = ("--out", {"default": None})
+_WHICH = ("--which", {"choices": ("G", "I"), "default": "G"})
+# name -> (help, handler, arguments as (flag, keywords) pairs, or a dict of
+# actions to such lists), in the order the top-level help lists them
+COMMANDS = {
+    "count": ("exact G(n), I(n) and Sylow types for given n", cmd_count,
+              [("n", {"type": int, "nargs": "+"}), _OUT]),
+    "scan": ("CSV of phi, omega counts, log G, log I over 2..N", cmd_scan,
+             [("--max", {"type": int, "required": True}), _OUT]),
+    "distribution": ("normality report for log G or log I", cmd_distribution,
+                     [("--x", {"type": int, "required": True}), _WHICH,
+                      ("--samples-csv", {"default": None}), _OUT]),
+    "moments": ("centered moment sums of the log G surrogate", cmd_moments,
+                [("--x", {"type": int, "required": True}), ("--h-max", {"type": int, "default": 3}), _OUT]),
+    "constants": ("evaluate the mean/variance constants", cmd_constants,
+                  [("--prime-limit", {"type": int, "default": 10**6}),
+                   ("--X", {"type": _finite_float, "default": 10**4}), _OUT]),
+    "verify": ("cross-check formulas against enumeration oracles", cmd_verify,
+               [("--max", {"type": int, "default": 300}),
+                ("--oracle-cap", {"type": int, "default": multgroup.DEFAULT_ORACLE_CAP})]),
+    "extremal": ("maximal-order scans and constructions", cmd_extremal, {
+        "scan": [("--max", {"type": int, "required": True}), _WHICH, _OUT],
+        "construct": [("--x", {"type": _finite_float, "required": True}), _WHICH,
+                      ("--bv-exponent", {"type": int, "default": 0}), _OUT]}),
+}
+
+
+def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The multsub parser with the subcommands in names (default: all)."""
     parser = argparse.ArgumentParser(
         prog="multsub",
         description="Subgroup counts of (Z/nZ)^x: exact values, scans, and statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="exact G(n), I(n) and Sylow types for given n")
-    p.add_argument("n", type=int, nargs="+")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("scan", help="CSV of phi, omega counts, log G, log I over 2..N")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("distribution", help="normality report for log G or log I")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--which", choices=("G", "I"), default="G")
-    p.add_argument("--samples-csv", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_distribution)
-
-    p = sub.add_parser("moments", help="centered moment sums of the log G surrogate")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--h-max", type=int, default=3)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("constants", help="evaluate the mean/variance constants")
-    p.add_argument("--prime-limit", type=int, default=10**6)
-    p.add_argument("--X", type=_finite_float, default=10**4)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser("verify", help="cross-check formulas against enumeration oracles")
-    p.add_argument("--max", type=int, default=300)
-    p.add_argument("--oracle-cap", type=int, default=multgroup.DEFAULT_ORACLE_CAP)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("extremal", help="maximal-order scans and constructions")
-    psub = p.add_subparsers(dest="action", required=True)
-    ps = psub.add_parser("scan")
-    ps.add_argument("--max", type=int, required=True)
-    ps.add_argument("--which", choices=("G", "I"), default="G")
-    ps.add_argument("--out", default=None)
-    ps.set_defaults(func=cmd_extremal)
-    pc = psub.add_parser("construct")
-    pc.add_argument("--x", type=_finite_float, required=True)
-    pc.add_argument("--which", choices=("G", "I"), default="G")
-    pc.add_argument("--bv-exponent", type=int, default=0)
-    pc.add_argument("--out", default=None)
-    pc.set_defaults(func=cmd_extremal)
-
+    for name in names:
+        help_text, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if isinstance(arguments, dict):  # extremal: one more level, the action
+            actions = p.add_subparsers(dest="action", required=True)
+            targets = [(actions.add_parser(a), args) for a, args in arguments.items()]
+        else:
+            targets = [(p, arguments)]
+        for target, args in targets:
+            for flag, keywords in args:
+                target.add_argument(flag, **keywords)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        # The invoked command's parser alone; the full one for --help, a missing or
+        # unknown command, and arguments left over (its error shows the top usage).
+        args, extra = (build_parser(argv[:1]).parse_known_args(argv)
+                       if argv[:1] and argv[0] in COMMANDS else (None, True))
+        if extra:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

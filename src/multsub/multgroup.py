@@ -9,14 +9,14 @@ counts G(n) and I(n), and an independent closure-based enumeration oracle.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from itertools import groupby
+import operator
+from itertools import accumulate, count, groupby
 from math import gcd
 
 import numpy as np
 
 from .partitions import Partition, count_subpartitions
-from .pgroup import PGroupType, subgroup_count
+from .pgroup import PGroupType, column_counts, subgroup_count
 from . import sieve
 from .sieve import FunctionTable
 
@@ -283,55 +283,91 @@ def count_subgroup_isoclasses(n: int) -> int:
     return subgroup_counts(n)[1]
 
 
-# Partition keys: alpha = (alpha_1, alpha_2, ...) is the base-32 number with
-# digit i equal to alpha_{i+1}; the column a_j(n) adds _KEY_DIGITS[a_j(n)] =
-# 1 + 32 + ... + 32^(a_j - 1).  For n < 2**31 every part is at most
-# lambda_p(n) < 31 and there are at most 10 parts, so keys stay below 2**60.
-_KEY_DIGITS = (32 ** np.arange(13, dtype=np.int64) - 1) // 31
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _conjugate_columns(primes: np.ndarray, N: int, p: int) -> Iterator[np.ndarray]:
-    """Yields a_1, a_2, ... over [0, N], one column at a time, with
-    a_j(n) = omega_bar(n, p, j): omega_{p^j} from the primes q = 1 (mod p^j),
-    plus the boundary term of the p-power part of n.  Stops before the first
-    column that is zero everywhere."""
-    j = 1
-    while True:
-        a = sieve.prime_divisor_counts(primes[(primes - 1) % p**j == 0], N)
-        if p != 2:
-            own = (p ** (j + 1),)  # Z_{p^(e-1)} from p^e || n
-        elif j == 1:
-            own = (4, 8)  # Z_2 from 4 | n and Z_{2^(e-2)} from 8 | n
-        else:
-            own = (2 ** (j + 2),)
-        for d in own:
-            a[d::d] += 1
-        if not a.any():
-            return
-        yield a
-        j += 1
+def _part_weights(p: int, N: int, qs: np.ndarray, vq: np.ndarray) -> list[int]:
+    """[0, W_1, ..., W_top, width]: a part of size v of a p-Sylow partition of
+    n <= N adds W_v to its key, and keys lie below width.  The digit for v
+    exceeds the number of parts of size v: from the primes q | n with
+    v_p(q - 1) = v (vq), at most the leading ones in qs whose product is <= N,
+    and from p^e || n, Z_{p^(e-1)}, or for p = 2 Z_2 (4 | n) and Z_{2^(e-2)}
+    (8 | n).  Raises OverflowError, before any key is built, past int64."""
+    weights = [0, 1]
+    for v in count(1):
+        own = (v == 1) + (2 ** (v + 2) <= N) if p == 2 else int(p ** (v + 1) <= N)
+        if not own and v > vq.max(initial=0):
+            break
+        prods = accumulate(qs[vq == v][:63].tolist(), operator.mul)  # q >= 3: 3^63 > N
+        weights.append(weights[-1] * (1 + own + sum(x <= N for x in prods)))
+    if weights[-1] > _INT64_MAX:
+        raise OverflowError(f"p = {p} Sylow keys to N = {N} need {weights[-1].bit_length()} bits")
+    return weights
 
 
-def _key_partition(key: int) -> Partition:
-    """The partition whose parts are the base-32 digits of key."""
-    parts = []
-    while key:
-        key, part = divmod(key, 32)
-        parts.append(part)
-    return Partition(tuple(parts))
+def _multiples(moduli: np.ndarray, N: int) -> np.ndarray:
+    """The multiples of each modulus in [1, N], modulus by modulus."""
+    c = N // moduli
+    return np.repeat(moduli, c) * (np.arange(1, c.sum() + 1) - np.repeat(np.cumsum(c) - c, c))
+
+
+def _sylow_keys(table: FunctionTable, N: int, p: int, key: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Adds to the zeroed work array key the p-Sylow key of each n <= N: the
+    weight of v_p(q - 1) for each prime q = 1 (mod p) dividing n, and those of
+    the parts of p^e || n, telescoped over the powers of p.  Returns the
+    weights and the moduli, the q and p^2, whose multiples have p | phi(n)."""
+    qs = np.arange(p + 1, N + 1, p)
+    qs = qs[table.phi[qs] == qs - 1]  # the primes q = 1 (mod p)
+    vq, rest = np.ones_like(qs), (qs - 1) // p
+    while (more := rest % p == 0).any():
+        vq += more
+        rest[more] //= p
+    weights = _part_weights(p, N, qs, vq)
+    wq = np.array(weights, dtype=np.int64)[vq]
+    few = N // qs < 64  # one slice costs about as much as 64 gathered multiples
+    for q, w in zip(qs[~few].tolist(), wq[~few].tolist()):
+        key[q::q] += w
+    np.add.at(key, _multiples(qs[few], N), np.repeat(wq[few], N // qs[few]))
+    if p == 2:
+        key[4::4] += weights[1]  # Z_2, and Z_{2^(e-2)} from 8 below
+    for v in range(1, len(weights) - 1):
+        d = p ** (v + 1 + (p == 2))
+        key[d::d] += weights[v] - weights[v - 1]
+    return weights, np.append(qs, p * p)
+
+
+def _key_columns(key: int, weights: list[int]) -> tuple[int, ...]:
+    """The conjugate partition of the key's partition: a_j = #parts of size >= j."""
+    parts = [key % weights[v + 1] // weights[v] for v in range(1, len(weights) - 1)]
+    return tuple(filter(None, accumulate(parts[::-1])))[::-1]
+
+
+def _unique_inverse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(x, return_inverse=True) for a nonempty nonnegative int64 x.
+    Where x shifted past the bits of its indices fits in int64, one sort of
+    (x << shift) | index finds both, with no argsort."""
+    shift = len(x).bit_length()
+    if int(x.max()) >> (63 - shift):
+        return np.unique(x, return_inverse=True)
+    packed = np.sort((x << shift) | np.arange(len(x)))
+    values = packed >> shift
+    first = np.r_[True, values[1:] != values[:-1]]
+    inverse = np.empty(len(x), dtype=np.int64)
+    inverse[packed & ((1 << shift) - 1)] = np.cumsum(first) - 1
+    return values[first], inverse
 
 
 def _checked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for int64 arrays of positive counts; raises where int64 would wrap."""
-    if np.any(a > _INT64_MAX // b):
+    """a * b, in place in a, for int64 arrays of positive counts; raises where int64 would wrap."""
+    if int(a.max()) * int(b.max()) > _INT64_MAX and np.any(a > _INT64_MAX // b):
         raise OverflowError("a subgroup count exceeds the int64 range")
-    return a * b
+    a *= b
+    return a
 
 
 def _exact_logs(counts: np.ndarray) -> np.ndarray:
     """math.log of each exact count, taken once per distinct value."""
-    values, inverse = np.unique(counts, return_inverse=True)
+    values, inverse = _unique_inverse(counts)
     return np.array([math.log(v) for v in values.tolist()])[inverse]
 
 
@@ -340,35 +376,36 @@ def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
     of the exact counts (0 at n = 0 and 1).
 
     Only the p-Sylow components with p <= sqrt(N) can have rank 2 or more.
-    For each such p the n with p | phi(n) are those where the first conjugate
-    column is nonzero; each column omega_bar(n, p, j) then adds its digits to
-    one partition key per such n, and each distinct component, cyclic ones
-    included, is counted once per call.  Above sqrt(N) every prime dividing
-    phi(n) is a cyclic factor Z_p and doubles both counts; there are
-    omega(phi(n)) minus the small ones of them.
+    For each such p one int64 key per n, additive over the prime divisors of
+    n (`_sylow_keys`), encodes the partition, and each distinct key, zero and
+    cyclic components included, is counted once per call by one sweep over its
+    conjugate columns.  Where the moduli's multiples cover under half of [0, N],
+    only their union is read.  Above sqrt(N) every prime dividing phi(n) is a
+    cyclic factor Z_p and doubles both counts; there are omega(phi(n)) minus
+    the small ones of them.
     """
     if not 1 <= N <= table.N:
         raise ValueError(f"need 1 <= N <= table.N = {table.N}, got {N}")
-    primes = table.primes[: np.searchsorted(table.primes, N, side="right")]
     g = np.ones(N + 1, dtype=np.int64)
     i = np.ones(N + 1, dtype=np.int64)
-    n_large = table.omega_phi[: N + 1].astype(np.int64)  # primes > sqrt(N) dividing phi(n)
-    for p in primes[primes <= math.isqrt(N)].tolist():
-        cols = _conjugate_columns(primes, N, p)
-        first = next(cols)  # nonzero at n = p^2 <= N
-        on = np.flatnonzero(first)  # the n with p | phi(n)
-        keys = _KEY_DIGITS[first[on]]
-        for a in cols:
-            keys += _KEY_DIGITS[a[on]]
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        per_key = np.array([(subgroup_count(PGroupType(p, alpha)), count_subpartitions(alpha))
-                            for alpha in map(_key_partition, distinct.tolist())],
+    n_large = table.omega_phi[: N + 1].copy()  # primes > sqrt(N) dividing phi(n)
+    key = np.zeros(N + 1, dtype=np.int64)  # zero again after each p
+    for p in table.primes[table.primes <= math.isqrt(N)].tolist():
+        weights, moduli = _sylow_keys(table, N, p, key)
+        on = (slice(None) if 2 * (N // moduli).sum() > N
+              else np.unique(_multiples(moduli, N), return_counts=True)[0])  # a sort, no hash
+        keys = key[on]
+        distinct, inverse = _unique_inverse(keys)
+        per_key = np.array([column_counts(_key_columns(k, weights), p) for k in distinct.tolist()],
                            dtype=np.int64)  # raises OverflowError past int64
-        n_large[on] -= 1
+        n_large[on] -= keys != 0
         g[on] = _checked_product(g[on], per_key[inverse, 0])
         i[on] = _checked_product(i[on], per_key[inverse, 1])
-    doubling = np.left_shift(1, n_large)
-    return _exact_logs(_checked_product(g, doubling)), _exact_logs(_checked_product(i, doubling))
+        key[on] = 0
+    doubling = np.left_shift(np.int64(1), n_large, out=key)  # reuses the work array
+    log_g = _exact_logs(_checked_product(g, doubling))
+    del g  # one count array at a time in memory
+    return log_g, _exact_logs(_checked_product(i, doubling))
 
 
 # ---------------------------------------------------------------------------

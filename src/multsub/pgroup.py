@@ -74,33 +74,38 @@ def subgroup_count_of_type(g: PGroupType, beta: Partition) -> int:
 
 
 def subgroup_count(g: PGroupType) -> int:
-    """Total number of subgroups (as sets) of the p-group of type g.alpha.
+    """Total number of subgroups (as sets) of the p-group of type g.alpha."""
+    return column_counts(g.alpha.conjugate().parts, g.p)[0]
 
-    The sum over all subpartitions beta of the fixed-type counts, taken as a
-    transfer sum over the conjugate columns.  With a = alpha' and b = beta',
-    the j-th factor of _count_fixed_conjugates depends only on the adjacent
-    pair (b_j, b_{j+1}), and the subpartitions b of a are the nonincreasing
-    b with b_j <= a_j.  So a sweep from the last column to the first keeps
-    w[v], the sum of the products of factors j.. over the b with b_j = v,
-    and the count is the sum of the final w.  That costs about
+
+def column_counts(a: tuple[int, ...], p: int) -> tuple[int, int]:
+    """(subgroups, subpartitions) of the p-group whose conjugate partition is a.
+
+    The subgroup count is the sum over all subpartitions beta of the
+    fixed-type counts, taken as a transfer sum over the conjugate columns.
+    With b = beta', the j-th factor of _count_fixed_conjugates depends only on
+    the adjacent pair (b_j, b_{j+1}), and the subpartitions b of a are the
+    nonincreasing b with b_j <= a_j.  So a sweep from the last column to the
+    first keeps w[v], the sum of the products of factors j.. over the b with
+    b_j = v, and the count is the sum of the final w.  That costs about
     sum_j (a_j + 1)(a_{j+1} + 1) big-int products, whatever the number of
-    subpartitions.
+    subpartitions.  The same sweep with every factor 1 (u) counts the b.
     """
-    a = g.alpha.conjugate().parts
     if not a:
-        return 1
+        return 1, 1
     r = a[0]
     pw = [1]  # pw[e] = p^e; (aj - v) c <= r^2/4, and r - 1 <= r^2/4 too
     for _ in range(r * r // 4):
-        pw.append(pw[-1] * g.p)
+        pw.append(pw[-1] * p)
     gauss = _gaussian_rows(r, pw)
-    w = [1]  # past the last column b is 0
+    w = u = [1]  # past the last column b is 0
     for aj in reversed(a):
         w = [
             sum(wc * pw[(aj - v) * c] * gauss[aj - c][v - c] for c, wc in enumerate(w[: v + 1]))
             for v in range(aj + 1)
         ]
-    return sum(w)
+        u = [sum(u[: v + 1]) for v in range(aj + 1)]
+    return sum(w), sum(u)
 
 
 def _gaussian_rows(r: int, pw: list[int]) -> list[list[int]]:

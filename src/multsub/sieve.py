@@ -54,10 +54,14 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(limit: float) -> np.ndarray:
-    """All primes <= limit, ascending, as an int64 array."""
+    """All primes <= limit, ascending, as an int64 array; raises
+    MemoryBudgetError where the sieve would pass DEFAULT_MEMORY_BUDGET."""
     n = int(limit)
     if n < 2:
         return np.zeros(0, dtype=np.int64)
+    if 2 * (n + 1) > DEFAULT_MEMORY_BUDGET:  # the mask, and under 16/ln(n) bytes of primes per entry
+        raise MemoryBudgetError(f"primes up to {n} need about {2 * (n + 1)} bytes, "
+                                f"budget {DEFAULT_MEMORY_BUDGET}")
     mask = np.ones(n + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -146,18 +150,12 @@ def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
                          bigomega_phi=bigomega_phi, primes=primes)
 
 
-def prime_divisor_counts(qs: np.ndarray, N: int) -> np.ndarray:
-    """uint8 array over [0, N] with entry n = the number of primes in qs
-    dividing n; one slice per prime."""
-    arr = np.zeros(N + 1, dtype=np.uint8)
-    for q in qs.tolist():
-        arr[q::q] += 1
-    return arr
-
-
 def omega_q_table(table: FunctionTable, q: int) -> np.ndarray:
-    """Array over [0, N] with entry n = omega_q(n), the number of distinct
-    primes p | n with p = 1 (mod q)."""
+    """uint8 array over [0, N] with entry n = omega_q(n), the number of distinct
+    primes p | n with p = 1 (mod q); one slice per such p."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    return prime_divisor_counts(table.primes[(table.primes - 1) % q == 0], table.N)
+    arr = np.zeros(table.N + 1, dtype=np.uint8)
+    for p in table.primes[(table.primes - 1) % q == 0].tolist():
+        arr[p::p] += 1
+    return arr

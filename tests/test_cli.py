@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from multsub import constants
+from multsub import cli, constants
 from multsub.cli import run
 
 
@@ -161,3 +161,42 @@ def test_extremal_commands(tmp_path):
 def test_usage_errors():
     assert run(["nonsense"]) == 2
     assert run(["scan"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["constants", "--prime-limit", "1000", "--X", "1e13"],
+     "constants: primes up to 10000000000000 need about 20000000000002 bytes, budget 2147483648\n"),
+    (["extremal", "construct", "--x", "1e300", "--bv-exponent", "-5"],
+     "extremal construct: --bv-exponent must be at least 0\n"),
+], ids=["constants-X-1e13", "negative-bv-exponent"])
+def test_unbounded_prime_sieves_are_usage_errors(capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nonsense"], ["scan"], ["scan", "-h"], ["scan", "--max", "x"],
+    ["scan", "--max", "5", "--bogus"], ["count", "5", "x"], ["extremal"],
+    ["extremal", "construct", "-h"], ["extremal", "scan", "--max", "9", "extra"],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    want = (capsys.readouterr(), 0 if exc.value.code == 0 else 2)
+    built, full = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda names=tuple(cli.COMMANDS): built.append(tuple(names)) or full(names))
+    code = run(argv)
+    assert (capsys.readouterr(), code) == want
+    # the invoked command's parser first; the full one only for help, a
+    # missing or unknown command, or arguments left over
+    assert built[0] == (tuple(argv[:1]) if argv[:1] and argv[0] in cli.COMMANDS else tuple(cli.COMMANDS))
+
+
+def test_one_command_parser_per_call(capsys, monkeypatch):
+    built, full = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda names=tuple(cli.COMMANDS): built.append(tuple(names)) or full(names))
+    assert run(["count", "8"]) == 0
+    assert run(["extremal", "scan", "--max", "100"]) == 0
+    assert built == [("count",), ("extremal",)]

@@ -162,9 +162,9 @@ def test_i_cap_bit_for_bit_against_per_n_factorization(table_100k):
         assert extremal._i_cap(t, N).tolist() == ref[: N + 1], N
 
 
-def test_i_cap_builds_no_sylow_columns(table_10k, monkeypatch):
+def test_i_cap_builds_no_sylow_keys(table_10k, monkeypatch):
     # the cap is computed from the totient column, independently of log_counts
     ref = extremal._i_cap(table_10k, 6049)
-    monkeypatch.setattr(multgroup, "_conjugate_columns",
-                        lambda *args: pytest.fail("Sylow columns built"))
+    monkeypatch.setattr(multgroup, "_sylow_keys",
+                        lambda *args: pytest.fail("Sylow keys built"))
     assert np.array_equal(extremal._i_cap(table_10k, 6049), ref)

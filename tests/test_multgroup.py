@@ -242,19 +242,49 @@ def test_log_counts_bit_for_bit_against_subgroup_counts(table_100k):
         assert np.array_equal(short_i, log_i[: N + 1]), N
 
 
-def test_conjugate_column_sums_are_sylow_sizes_of_phi(table_100k):
-    # |(Z/nZ)^x| = phi(n): the conjugate columns of the p-Sylow partition sum
-    # to nu_p(phi(n)) for every n <= 1e5 and every p <= sqrt(1e5)
+def test_sylow_key_parts_sum_to_sylow_sizes_of_phi(table_100k):
+    # |(Z/nZ)^x| = phi(n): the parts decoded from the p-Sylow key sum to
+    # nu_p(phi(n)) for every n <= 1e5 and every p <= sqrt(1e5), and the key is
+    # nonzero exactly at the multiples of the moduli it returns
     t, N = table_100k, 10**5
     ref = {p: np.zeros(N + 1, dtype=np.int64) for p in t.primes[t.primes <= math.isqrt(N)].tolist()}
     for n, phi in enumerate(t.phi[1:].tolist(), start=1):
         for p, e in mg.factorize(phi):
             if p in ref:
                 ref[p][n] = e
+    key = np.zeros(N + 1, dtype=np.int64)
     for p, nu in ref.items():
-        got = sum(a.astype(np.int64) for a in mg._conjugate_columns(t.primes, N, p))
+        weights, moduli = mg._sylow_keys(t, N, p, key)
+        distinct, inverse = np.unique(key, return_inverse=True)
+        got = np.array([sum(mg._key_columns(k, weights)) for k in distinct.tolist()])[inverse]
         bad = np.flatnonzero(got[1:] != nu[1:]) + 1
         assert not bad.size, (p, bad[:10].tolist())
+        on = np.zeros(N + 1, dtype=bool)
+        for m in moduli.tolist():
+            on[m::m] = True
+        assert np.array_equal(on, key != 0), p
+        key[:] = 0
+
+
+def test_sylow_key_width_check_raises_instead_of_wrapping():
+    # a mixed radix past 63 bits is refused before any key is built; with only
+    # the primes below 1e6, the width is a lower bound for N = 2^50
+    primes = sieve.primes_up_to(10**6)[1:]
+    vq = np.array([((q - 1) & (1 - q)).bit_length() - 1 for q in primes.tolist()])  # v_2(q - 1)
+    weights = mg._part_weights(2, 10**6, primes, vq)
+    assert all(b % a == 0 for a, b in zip(weights[1:], weights[2:]))  # each digit's radix
+    assert weights[-1] < 2**63
+    with pytest.raises(OverflowError, match="p = 2 Sylow keys to N = 1125899906842624 need 74 bits"):
+        mg._part_weights(2, 2**50, primes, vq)
+
+
+@pytest.mark.parametrize("top", [10, 2**40, 2**62])
+def test_unique_inverse_matches_numpy(top):
+    # 2**62 leaves no room for the index bits: the np.unique fallback
+    x = np.random.default_rng(top).integers(0, top, 5000)
+    values, inverse = mg._unique_inverse(x)
+    ref_values, ref_inverse = np.unique(x, return_inverse=True)
+    assert np.array_equal(values, ref_values) and np.array_equal(inverse, ref_inverse)
 
 
 def test_log_counts_overflow_guard():

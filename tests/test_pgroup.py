@@ -10,6 +10,7 @@ from multsub.partitions import Partition, enumerate_subpartitions, partitions_of
 from multsub.pgroup import (
     PGroupType,
     _gaussian_rows,
+    column_counts,
     gaussian_binomial,
     log_subgroup_count_main_term,
     subgroup_count,
@@ -122,10 +123,14 @@ def _subpartition_sum(g):
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_subgroup_count_matches_subpartition_sum(p):
+    # the column sweep with every factor 1 counts the subpartitions themselves
     for m in range(11):
         for alpha in partitions_of(m):
             g = PGroupType(p, alpha)
-            assert subgroup_count(g) == _subpartition_sum(g), (p, alpha)
+            total = _subpartition_sum(g)
+            assert subgroup_count(g) == total, (p, alpha)
+            assert column_counts(alpha.conjugate().parts, p) == (
+                total, len(enumerate_subpartitions(alpha))), (p, alpha)
 
 
 @pytest.mark.parametrize("parts", [(8, 8, 7, 7, 6, 6, 6, 6), (7, 6, 5, 4, 4, 3, 3, 3, 3, 2)])

@@ -1,10 +1,13 @@
 """Smoke runs of the experiment scripts at small sizes."""
 
+import hashlib
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from multsub import multgroup
 
@@ -35,3 +38,15 @@ def test_pin_g_upper_slack_runs():
     best = max(ratios)
     n = 3 + ratios.index(best)
     assert out == f"G_UPPER_BOUND_SLACK: scan max ratio {best:.6f} at n = {n}\n"
+
+
+def test_log_counts_digest_matches_per_n_counts():
+    N = 6049
+    out = _run_script(["scripts/log_counts_digest.py", str(N)]).splitlines()
+    # the arrays from the per-n counts, not from log_counts
+    logs = np.array([(0.0, 0.0)] * 2 + [tuple(map(math.log, multgroup.subgroup_counts(n)))
+                                          for n in range(2, N + 1)])
+    assert out[:3] == [f"N {N}", "logG_sha256 " + hashlib.sha256(logs[:, 0].tobytes()).hexdigest(),
+                       "logI_sha256 " + hashlib.sha256(logs[:, 1].tobytes()).hexdigest()]
+    assert [line.split()[0] for line in out[3:]] == ["cpu_s", "peak_rss_mb"]
+    assert float(out[3].split()[1]) >= 0 and float(out[4].split()[1]) > 0

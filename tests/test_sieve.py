@@ -28,6 +28,9 @@ def test_primes_up_to():
     assert sieve.primes_up_to(2).tolist() == [2]
     assert len(sieve.primes_up_to(100)) == 25
     assert len(sieve.primes_up_to(1)) == 0
+    # refused before the mask is allocated, as build refuses its table
+    with pytest.raises(sieve.MemoryBudgetError, match="primes up to 10000000000000 need"):
+        sieve.primes_up_to(1e13)
 
 
 def test_prime_power_list():
