@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from . import constants as constants_mod
-from . import ekstats, extremal, multgroup, polyops, sieve
+from . import ekstats, extremal, multgroup, partitions, polyops, sieve
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -35,12 +35,12 @@ def cmd_count(args) -> int:
         if n < 1:
             print(f"count: n must be positive, got {n}", file=sys.stderr)
             return 2
-        dec = multgroup.sylow_decomposition(n)
-        g, i = multgroup.subgroup_counts(n, dec=dec)
+        columns = multgroup.sylow_columns(n)
+        g, i = multgroup.subgroup_counts(n, columns)
         obj = {
             "n": n,
-            "phi": str(math.prod(p**alpha.size for p, alpha in dec.items())),
-            "sylow": {str(p): str(alpha) for p, alpha in sorted(dec.items())},
+            "phi": str(math.prod(p ** sum(a) for p, a in columns.items())),
+            "sylow": {str(p): f"[{','.join(map(str, partitions.conjugate_parts(a)))}]" for p, a in columns.items()},
             "G": str(g),
             "I": str(i),
         }
@@ -140,16 +140,20 @@ def cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    mismatch = []
+    mismatch, types = [], set()
     for n in range(1, args.max + 1):
         try:
             subs = multgroup.enumerate_subgroups_oracle(n, cap=args.oracle_cap)
         except multgroup.OracleCapError:
             continue
-        g, i = multgroup.subgroup_counts(n)
-        go, io = len(subs), multgroup.classify_isoclasses_oracle(n, subs=subs)
-        if g != go or i != io:
-            mismatch.append((n, g, go, i, io))
+        columns = multgroup.sylow_columns(n)
+        oracle = len(subs), multgroup.classify_isoclasses_oracle(n, subs=subs)
+        counts = [multgroup.subgroup_counts(n, columns), oracle]  # (G, I) by the per-n path and by the oracle
+        if not columns.items() <= types:  # and by the definitions, at the first n of each Sylow type
+            types |= columns.items()
+            counts.append(multgroup.definitional_counts(n))
+        if len(set(counts)) > 1:
+            mismatch.append((n, *counts))
     check(f"subgroup counts match closure oracle for n <= {args.max}", not mismatch)
     if mismatch:
         print(f"      first mismatches: {mismatch[:5]}", file=sys.stderr)
@@ -188,13 +192,15 @@ def cmd_extremal(args) -> int:
     if args.action == "scan":
         table = sieve.build(args.max)
         rec = extremal.scan_max(args.max, args.which, table)
-    elif args.bv_exponent < 0:  # a negative exponent makes V grow past (log x)^2
-        print("extremal construct: --bv-exponent must be at least 0", file=sys.stderr)
+    elif args.bv_exponent is not None and (args.which == "I" or args.bv_exponent < 0):
+        # the I construction has no exponent; a negative one makes V grow past (log x)^2
+        need = "applies only to --which G" if args.which == "I" else "must be at least 0"
+        print(f"extremal construct: --bv-exponent {need}", file=sys.stderr)
         return 2
     else:
         try:
             if args.which == "G":
-                rec = extremal.construct_G_extremal(args.x, bv_exponent=args.bv_exponent)
+                rec = extremal.construct_G_extremal(args.x, bv_exponent=args.bv_exponent or 0)
             else:
                 rec = extremal.construct_I_extremal(args.x)
         except extremal.ConstructionFailedError as exc:
@@ -237,7 +243,7 @@ COMMANDS = {
     "extremal": ("maximal-order scans and constructions", cmd_extremal, {
         "scan": [("--max", {"type": int, "required": True}), _WHICH, _OUT],
         "construct": [("--x", {"type": _finite_float, "required": True}), _WHICH,
-                      ("--bv-exponent", {"type": int, "default": 0}), _OUT]}),
+                      ("--bv-exponent", {"type": int, "default": None}), _OUT]}),
 }
 
 
@@ -263,14 +269,48 @@ def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
     return parser
 
 
+def parse_direct(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's namespace for a well-formed argv, read from COMMANDS with no parser; None for help,
+    --flag=value, abbreviations, dash values, bad flags or values, stray words, or other keywords."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    values, rest = {"command": argv[0], "func": func}, argv[1:]
+    if isinstance(arguments, dict):
+        if not rest or rest[0] not in arguments:
+            return None
+        values["action"], arguments, rest = rest[0], arguments[rest[0]], rest[1:]
+    flags = {flag: keywords for flag, keywords in arguments if flag.startswith("--")}
+    listed = [name for name, keywords in arguments if keywords == {"type": int, "nargs": "+"}]  # count's n
+    values.update((flag[2:].replace("-", "_"), keywords.get("default")) for flag, keywords in flags.items())
+    k = next((j for j, t in enumerate(rest) if t.startswith("-")), len(rest)) if listed else 0
+    pairs = dict(zip(rest[k::2], rest[k + 1::2]))  # a repeated flag leaves fewer pairs
+    if (len(flags) + len(listed) < len(arguments) or len(listed) > 1
+            or any(keywords.keys() - {"type", "choices", "required", "default"} for keywords in flags.values())
+            or len(rest) - k != 2 * len(pairs) or not pairs.keys() <= flags.keys() or listed and not k
+            or any(text.startswith("-") for text in pairs.values())
+            or any(keywords.get("required") and flag not in pairs for flag, keywords in flags.items())):
+        return None
+    try:
+        values.update((name, [int(text) for text in rest[:k]]) for name in listed)
+        for flag, text in pairs.items():
+            value = values[flag[2:].replace("-", "_")] = flags[flag].get("type", str)(text)
+            if value not in flags[flag].get("choices", (value,)):
+                return None
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
+
+
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    args, extra = parse_direct(argv), ()
     try:
-        # The invoked command's parser alone; the full one for --help, a missing or
-        # unknown command, and arguments left over (its error shows the top usage).
-        args, extra = (build_parser(argv[:1]).parse_known_args(argv)
-                       if argv[:1] and argv[0] in COMMANDS else (None, True))
-        if extra:
+        # Else the invoked command's parser alone; the full one for --help, a missing
+        # or unknown command, and arguments left over (its error shows the top usage).
+        if args is None and argv[:1] and argv[0] in COMMANDS:
+            args, extra = build_parser(argv[:1]).parse_known_args(argv)
+        if args is None or extra:
             args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

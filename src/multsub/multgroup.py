@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .partitions import Partition, count_subpartitions
+from .partitions import Partition, conjugate_parts, count_subpartitions
 from .pgroup import PGroupType, column_counts, subgroup_count
 from . import sieve
 from .sieve import FunctionTable
@@ -96,13 +96,13 @@ def _rho_split(n: int) -> list[int]:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 if gcd(q, n) == 1:
                     continue
                 y, q = ys, 1
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    while (g := gcd(abs(x - y), n)) not in (1, n):
+                    while (g := gcd(x - y, n)) not in (1, n):
                         pieces.append(g)
                         n //= g
                         if sieve.is_prime(n) or math.isqrt(n) ** 2 == n:
@@ -243,34 +243,33 @@ def _prime_power_parts(q: int, e: int) -> list[tuple[int, int]]:
     return factorize(q - 1) + ([(q, e - 1)] if e >= 2 else [])
 
 
-def _alphas(parts) -> dict[int, Partition]:
-    """The Sylow partitions {p: alpha_p}, primes ascending, from the cyclic
-    factors Z_{p^k} given as pairs (p, k)."""
-    return {p: Partition(tuple(k for _, k in grp)[::-1])
-            for p, grp in groupby(sorted(parts), lambda pk: pk[0])}
-
-
-def sylow_decomposition(n: int,
-                        fact: list[tuple[int, int]] | None = None) -> dict[int, Partition]:
+def sylow_decomposition(n: int, fact: list[tuple[int, int]] | None = None) -> dict[int, Partition]:
     """{p: alpha_p}, primes ascending: the partition of the p-Sylow subgroup of
     (Z/nZ)^x for every prime p | phi(n), from the primary decomposition:
     (Z/nZ)^x is the product of the (Z/q^eZ)^x over q^e || n."""
-    if fact is None:
-        fact = factorize(n)
-    return _alphas([x for q, e in fact for x in _prime_power_parts(q, e)])
+    return {p: Partition(conjugate_parts(a)) for p, a in sylow_columns(n, fact).items()}
 
 
-def subgroup_counts(n: int, dec: dict[int, Partition] | None = None) -> tuple[int, int]:
-    """(G(n), I(n)): exact counts of subgroups of (Z/nZ)^x as sets and up to
-    isomorphism.  Both are products over the Sylow components; pass dec when
-    the decomposition of n is already at hand."""
-    if dec is None:
-        dec = sylow_decomposition(n)
-    g = i = 1
-    for p, alpha in dec.items():
-        g *= subgroup_count(PGroupType(p, alpha))
-        i *= count_subpartitions(alpha)
-    return g, i
+def sylow_columns(n: int, fact: list[tuple[int, int]] | None = None) -> dict[int, tuple[int, ...]]:
+    """{p: a}, primes ascending, for each p | phi(n): a_j is the number of cyclic
+    factors Z_{p^k}, k >= j, of (Z/nZ)^x, the conjugate of the Sylow partition."""
+    parts = sorted(x for q, e in (factorize(n) if fact is None else fact) for x in _prime_power_parts(q, e))
+    return {p: conjugate_parts([k for _, k in grp]) for p, grp in groupby(parts, lambda pk: pk[0])}
+
+
+def subgroup_counts(n: int, columns: dict[int, tuple[int, ...]] | None = None) -> tuple[int, int]:
+    """(G(n), I(n)): exact counts of subgroups of (Z/nZ)^x as sets and up to isomorphism,
+    products of one column sweep per Sylow component; pass the columns when at hand."""
+    counts = [column_counts(a, p) for p, a in (columns or sylow_columns(n)).items()]
+    return math.prod(g for g, _ in counts), math.prod(i for _, i in counts)
+
+
+def definitional_counts(n: int) -> tuple[int, int]:
+    """(G(n), I(n)) by the definitions, a check on subgroup_counts: subgroup_count and
+    count_subpartitions of each alpha_p, p | phi(n), read off the omega_bar counts."""
+    alphas = [(p, sylow_partition(n, p)) for p, _ in factorize(euler_phi(n))]
+    return (math.prod(subgroup_count(PGroupType(p, alpha)) for p, alpha in alphas),
+            math.prod(count_subpartitions(alpha) for _, alpha in alphas))
 
 
 def count_subgroups(n: int) -> int:
@@ -492,7 +491,7 @@ def closure_subgroup_enumeration(elements, mul, identity,
                 raise OracleCapError(f"more than {max_subgroups} subgroups; cap exceeded")
             found.append(K)
             stack.append((K, i))
-    return sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t))
+    return sorted(sorted(tuple(sorted(h)) for h in found), key=len)  # stable: by size, then by elements
 
 
 def enumerate_subgroups_oracle(n: int, cap: int = DEFAULT_ORACLE_CAP) -> list[tuple[int, ...]]:
@@ -522,4 +521,4 @@ def classify_isoclasses_oracle(n: int, cap: int = DEFAULT_ORACLE_CAP,
     for H in subs:
         for g in H:
             order.setdefault(g, len(H))
-    return len({tuple(sorted(order[g] for g in H)) for H in subs})
+    return len({tuple(sorted(map(order.__getitem__, H))) for H in subs})

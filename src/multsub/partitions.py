@@ -9,7 +9,8 @@ are pure functions on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 64
 
@@ -37,9 +38,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
     @property
     def size(self) -> int:
         """The integer being partitioned."""
@@ -53,13 +51,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Ferrers diagram: result[j] = #{i : parts[i] >= j}."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(tuple(cols))
+        return Partition(conjugate_parts(self.parts))
 
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
@@ -74,6 +66,15 @@ class Partition:
         if not body:
             return cls()
         return cls(tuple(int(tok) for tok in body.split(",")))
+
+
+def conjugate_parts(parts: Sequence[int]) -> tuple[int, ...]:
+    """Transpose of the Ferrers diagram of positive integers given in any
+    order: result[j - 1] = #{i : parts[i] >= j}, nonincreasing."""
+    sizes = [0] * max(parts, default=0)
+    for p in parts:
+        sizes[p - 1] += 1
+    return tuple(accumulate(reversed(sizes)))[::-1]
 
 
 def is_subpartition(beta: Partition, alpha: Partition) -> bool:

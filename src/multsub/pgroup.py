@@ -91,8 +91,8 @@ def column_counts(a: tuple[int, ...], p: int) -> tuple[int, int]:
     sum_j (a_j + 1)(a_{j+1} + 1) big-int products, whatever the number of
     subpartitions.  The same sweep with every factor 1 (u) counts the b.
     """
-    if not a:
-        return 1, 1
+    if not a or a[0] == 1:  # trivial or cyclic, Z_{p^k}: k + 1 of each
+        return len(a) + 1, len(a) + 1
     r = a[0]
     pw = [1]  # pw[e] = p^e; (aj - v) c <= r^2/4, and r - 1 <= r^2/4 too
     for _ in range(r * r // 4):

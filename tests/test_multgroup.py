@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from multsub import cli
 from multsub import multgroup as mg
-from multsub import sieve
+from multsub import partitions, pgroup, sieve
 from multsub.partitions import Partition, count_subpartitions
-from multsub.pgroup import PGroupType, subgroup_count
+from multsub.pgroup import PGroupType, column_counts, subgroup_count
 
 
 def factorize_naive(n):
@@ -199,6 +199,8 @@ def check_primary_against_definition(n):
     assert list(dec) == phi_primes, n
     for p, alpha in dec.items():
         assert alpha == Partition(mg._sylow_conjugate(n, p, fact)).conjugate(), (n, p)
+    # the per-n path's columns are the omega_bar vectors themselves
+    assert mg.sylow_columns(n) == {p: mg._sylow_conjugate(n, p, fact) for p in dec}, n
 
 
 def test_primary_decomposition_matches_definition():
@@ -224,6 +226,7 @@ def test_log_counts_match_definitional_products(table_10k):
             alpha = mg.sylow_partition(n, p)
             g *= subgroup_count(PGroupType(p, alpha))
             i *= count_subpartitions(alpha)
+        assert mg.subgroup_counts(n) == (g, i), n
         assert (log_g[n], log_i[n]) == (math.log(g), math.log(i)), n
     with pytest.raises(ValueError):
         mg.log_counts(t, 10**4 + 1)
@@ -240,6 +243,28 @@ def test_log_counts_bit_for_bit_against_subgroup_counts(table_100k):
         short_g, short_i = mg.log_counts(t, N)
         assert np.array_equal(short_g, log_g[: N + 1]), N
         assert np.array_equal(short_i, log_i[: N + 1]), N
+
+
+def test_column_counts_count_subpartitions_of_every_sylow_shape():
+    # I(n) on the per-n path comes from the unit-weight column sweep alone;
+    # check it on every distinct Sylow shape of n <= 1e5 against the DP count
+    shapes = {a for n in range(1, 10**5 + 1) for a in mg.sylow_columns(n).values()}
+    assert len(shapes) > 100
+    for a in shapes:
+        assert column_counts(a, 2)[1] == count_subpartitions(Partition(a).conjugate()), a
+
+
+def test_per_n_path_builds_no_pgroup_types(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the per-n path reached a definitional check")
+
+    for module in (mg, pgroup, partitions):
+        for name in ("Partition", "PGroupType", "subgroup_count", "count_subpartitions"):
+            monkeypatch.setattr(module, name, fail, raising=False)
+    counts = [mg.subgroup_counts(n) for n in range(1, 1001)]
+    assert counts[7] == (5, 3) and counts[14] == (8, 5)
+    assert cli.run(["count", "8", "15", "1000000", "123456789012"]) == 0
+    assert '"sylow": {"2": "[1,1]"}' in capsys.readouterr().out
 
 
 def test_sylow_key_parts_sum_to_sylow_sizes_of_phi(table_100k):

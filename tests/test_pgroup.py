@@ -131,6 +131,10 @@ def test_subgroup_count_matches_subpartition_sum(p):
             assert subgroup_count(g) == total, (p, alpha)
             assert column_counts(alpha.conjugate().parts, p) == (
                 total, len(enumerate_subpartitions(alpha))), (p, alpha)
+    # the cyclic Z_{p^k}, which column_counts answers before building any table
+    for k in range(11, 31):
+        g = PGroupType(p, Partition((k,)))
+        assert column_counts((1,) * k, p) == (_subpartition_sum(g), len(enumerate_subpartitions(g.alpha))), (p, k)
 
 
 @pytest.mark.parametrize("parts", [(8, 8, 7, 7, 6, 6, 6, 6), (7, 6, 5, 4, 4, 3, 3, 3, 3, 2)])
