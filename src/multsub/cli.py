@@ -247,15 +247,14 @@ COMMANDS = {
 }
 
 
-def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
-    """The multsub parser with the subcommands in names (default: all)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The multsub parser, with every subcommand in COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="multsub",
         description="Subgroup counts of (Z/nZ)^x: exact values, scans, and statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, func, arguments = COMMANDS[name]
+    for name, (help_text, func, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         if isinstance(arguments, dict):  # extremal: one more level, the action
@@ -269,49 +268,12 @@ def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
     return parser
 
 
-def parse_direct(argv: list[str]) -> argparse.Namespace | None:
-    """argparse's namespace for a well-formed argv, read from COMMANDS with no parser; None for help,
-    --flag=value, abbreviations, dash values, bad flags or values, stray words, or other keywords."""
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    _, func, arguments = COMMANDS[argv[0]]
-    values, rest = {"command": argv[0], "func": func}, argv[1:]
-    if isinstance(arguments, dict):
-        if not rest or rest[0] not in arguments:
-            return None
-        values["action"], arguments, rest = rest[0], arguments[rest[0]], rest[1:]
-    flags = {flag: keywords for flag, keywords in arguments if flag.startswith("--")}
-    listed = [name for name, keywords in arguments if keywords == {"type": int, "nargs": "+"}]  # count's n
-    values.update((flag[2:].replace("-", "_"), keywords.get("default")) for flag, keywords in flags.items())
-    k = next((j for j, t in enumerate(rest) if t.startswith("-")), len(rest)) if listed else 0
-    pairs = dict(zip(rest[k::2], rest[k + 1::2]))  # a repeated flag leaves fewer pairs
-    if (len(flags) + len(listed) < len(arguments) or len(listed) > 1
-            or any(keywords.keys() - {"type", "choices", "required", "default"} for keywords in flags.values())
-            or len(rest) - k != 2 * len(pairs) or not pairs.keys() <= flags.keys() or listed and not k
-            or any(text.startswith("-") for text in pairs.values())
-            or any(keywords.get("required") and flag not in pairs for flag, keywords in flags.items())):
-        return None
-    try:
-        values.update((name, [int(text) for text in rest[:k]]) for name in listed)
-        for flag, text in pairs.items():
-            value = values[flag[2:].replace("-", "_")] = flags[flag].get("type", str)(text)
-            if value not in flags[flag].get("choices", (value,)):
-                return None
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
-        return None
-    return argparse.Namespace(**values)
+PARSER = build_parser()  # built once per process, at import
 
 
 def run(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args, extra = parse_direct(argv), ()
     try:
-        # Else the invoked command's parser alone; the full one for --help, a missing
-        # or unknown command, and arguments left over (its error shows the top usage).
-        if args is None and argv[:1] and argv[0] in COMMANDS:
-            args, extra = build_parser(argv[:1]).parse_known_args(argv)
-        if args is None or extra:
-            args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)  # None reads sys.argv[1:]
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

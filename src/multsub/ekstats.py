@@ -223,7 +223,9 @@ def surrogate_moments(hs: list[int], x: float, table: FunctionTable) -> dict[int
         wq = omega_q_table(table, q)[1 : xi + 1]
         radices.append(int(wq.max()) + 1)
         key = key.astype(np.min_scalar_type(math.prod(radices) - 1)) * radices[-1] + wq
-    keys = np.flatnonzero(np.bincount(key))  # the distinct rows, ascending
+    present = np.zeros(math.prod(radices), dtype=bool)
+    present[key] = True
+    keys = np.flatnonzero(present)  # the distinct rows, ascending
     omega_phi, *digits = np.unravel_index(keys, radices)
     pn = LOG2 * omega_phi.astype(np.float64)
     for (_, logp), w in zip(qs, digits):

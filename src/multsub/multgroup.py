@@ -335,6 +335,17 @@ def _sylow_keys(table: FunctionTable, N: int, p: int, key: np.ndarray) -> tuple[
     return weights, np.append(qs, p * p)
 
 
+def _cyclic_only(table: FunctionTable, N: int, p: int) -> bool:
+    """Whether p is odd and every n <= N has a p-Sylow of 1 or Z_p: p^3 > N, the
+    two least primes q = 1 (mod p), if there are two, have a product > N, and no
+    prime q <= N is 1 (mod p^2).  (p^2 q > p^3 for each such q: no third check.)"""
+    if p == 2 or p**3 <= N:
+        return False
+    qs = np.arange(p + 1, N + 1, p)
+    qs = qs[table.phi[qs] == qs - 1]  # the primes q = 1 (mod p)
+    return (len(qs) < 2 or qs[0] * qs[1] > N) and not (qs % (p * p) == 1).any()
+
+
 def _key_columns(key: int, weights: list[int]) -> tuple[int, ...]:
     """The conjugate partition of the key's partition: a_j = #parts of size >= j."""
     parts = [key % weights[v + 1] // weights[v] for v in range(1, len(weights) - 1)]
@@ -379,9 +390,9 @@ def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
     n (`_sylow_keys`), encodes the partition, and each distinct key, zero and
     cyclic components included, is counted once per call by one sweep over its
     conjugate columns.  Where the moduli's multiples cover under half of [0, N],
-    only their union is read.  Above sqrt(N) every prime dividing phi(n) is a
-    cyclic factor Z_p and doubles both counts; there are omega(phi(n)) minus
-    the small ones of them.
+    only their union is read.  Above sqrt(N), and for the cyclic-only primes
+    below it (`_cyclic_only`), every prime dividing phi(n) is a cyclic factor
+    Z_p and doubles both counts; there are omega(phi(n)) minus the keyed ones.
     """
     if not 1 <= N <= table.N:
         raise ValueError(f"need 1 <= N <= table.N = {table.N}, got {N}")
@@ -390,6 +401,8 @@ def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
     n_large = table.omega_phi[: N + 1].copy()  # primes > sqrt(N) dividing phi(n)
     key = np.zeros(N + 1, dtype=np.int64)  # zero again after each p
     for p in table.primes[table.primes <= math.isqrt(N)].tolist():
+        if _cyclic_only(table, N, p):  # a doubling, like the primes above sqrt(N)
+            continue
         weights, moduli = _sylow_keys(table, N, p, key)
         on = (slice(None) if 2 * (N // moduli).sum() > N
               else np.unique(_multiples(moduli, N), return_counts=True)[0])  # a sort, no hash

@@ -112,20 +112,21 @@ def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
     small = primes[: np.searchsorted(primes, math.isqrt(N), side="right")].tolist()
 
     # Only the primes p <= sqrt(N) get a slice each.  Dividing them out leaves
-    # in rem the one prime factor of n above sqrt(N), to the first power, or 1.
-    phi = np.arange(N + 1, dtype=np.int32)
-    for p in small:
-        phi[p::p] -= phi[p::p] // p
+    # in rem the one prime factor of n above sqrt(N), to the first power, or 1;
+    # phi gathers the product of (p - 1) p^(k-1) over the p^k || n meanwhile.
+    # Each partial product divides phi(n) <= n, so none overflows.
+    phi = np.ones(N + 1, dtype=np.int32)
     rem = np.arange(N + 1, dtype=np.int32)
     rem[0] = 1
     for p in small:
-        q = p
+        q, factor = p, p - 1
         while q <= N:
+            phi[q::q] *= factor
             rem[q::q] //= p
-            q *= p
+            q, factor = q * p, p
     big = rem > 1
-    np.floor_divide(phi, rem, out=rem)
-    np.subtract(phi, rem, out=phi, where=big)
+    rem -= 1
+    np.multiply(phi, rem, out=phi, where=big)
     del rem  # freed before the omega columns: the peak stays under 16 bytes per entry
 
     omega = big.astype(np.uint8)

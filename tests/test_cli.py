@@ -1,11 +1,7 @@
-import contextlib
 import hashlib
-import io
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from multsub import cli, constants
 from multsub.cli import run
@@ -195,112 +191,43 @@ def test_unbounded_prime_sieves_are_usage_errors(capsys, argv, message):
     [], ["-h"], ["nonsense"], ["scan"], ["scan", "-h"], ["scan", "--max", "x"],
     ["scan", "--max", "5", "--bogus"], ["count", "5", "x"], ["extremal"],
     ["extremal", "construct", "-h"], ["extremal", "scan", "--max", "9", "extra"],
+    ["scan", "--max=x"], ["scan", "--ma", "x"], ["scan", "--max", "5", "--max", "x"],
+    ["extremal", "construct", "--x=1e6", "--which=H"], ["extremal", "scan", "--ma", "9", "--wh", "H"],
+    ["distribution", "--x", "9", "--which", "G", "--which", "H"], ["moments", "--h", "3"],
 ], ids=lambda argv: " ".join(argv) or "no-command")
-def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+    # run prints what the parser prints: help, errors and exit codes are argparse's own
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv)
     want = (capsys.readouterr(), 0 if exc.value.code == 0 else 2)
-    built, full = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda names=tuple(cli.COMMANDS): built.append(tuple(names)) or full(names))
     code = run(argv)
     assert (capsys.readouterr(), code) == want
-    # the invoked command's parser first; the full one only for help, a
-    # missing or unknown command, or arguments left over
-    assert built[0] == (tuple(argv[:1]) if argv[:1] and argv[0] in cli.COMMANDS else tuple(cli.COMMANDS))
 
 
-def test_no_parser_built_for_a_valid_call(capsys, monkeypatch):
-    def fail(names=()):
-        raise AssertionError(f"built a parser for {names}")
+def test_no_parser_is_built_per_call(capsys, monkeypatch, tmp_path):
+    def fail():
+        raise AssertionError("built a parser in a call")
 
     monkeypatch.setattr(cli, "build_parser", fail)
     assert run(["count", "8"]) == 0
-    assert run(["extremal", "scan", "--max", "100"]) == 0
-    for argv in (["scan", "--max", "6000"], ["distribution", "--x", "6000", "--which", "G"],
-                 ["extremal", "scan", "--max", "6000", "--which", "I"],
-                 ["moments", "--x", "500000", "--h-max", "4"], ["constants", "--prime-limit", "500000"],
-                 ["verify", "--max", "140"], ["count", "15", "561", "--out", "x.json"],
-                 ["extremal", "construct", "--x", "1e6", "--which", "G", "--bv-exponent", "0"]):
-        assert cli.parse_direct(argv) is not None, argv
-
-
-def test_direct_parse_leaves_other_keywords_to_argparse(monkeypatch):
-    # an argument declared with more than type, choices, required and default, or a
-    # second list of integers beside count's, is read by argparse, not misread here
-    help_text, func, arguments = cli.COMMANDS["scan"]
-    for extra in (("--max", {"type": int, "required": True, "dest": "limit"}), ("--max", {"type": int, "nargs": 2}),
-                  ("--quiet", {"action": "store_true"}), ("words", {"nargs": "*"})):
-        declared = [extra, *(a for a in arguments if a[0] != extra[0])]
-        monkeypatch.setitem(cli.COMMANDS, "scan", (help_text, func, declared))
-        assert cli.parse_direct(["scan", "--max", "10"]) is None, extra
-    help_text, func, arguments = cli.COMMANDS["count"]
-    assert cli.parse_direct(["count", "8"]) is not None
-    monkeypatch.setitem(cli.COMMANDS, "count", (help_text, func, [*arguments, ("m", {"type": int, "nargs": "+"})]))
-    assert cli.parse_direct(["count", "8"]) is None
+    assert run(["count", "8", "--out", str(tmp_path / "x.json")]) == 0
+    assert run(["extremal", "scan", "--max=100", "--wh", "I"]) == 0
+    assert run(["scan", "--max", "5", "--max", "9"]) == 0
+    assert run(["scan", "-h"]) == 0
+    assert run(["scan", "--max", "x"]) == 2
+    assert run(["nonsense"]) == 2
 
 
 def test_bv_exponent_applies_only_to_g(capsys):
-    # refused with --which I on both parse routes; G reads the default None as 0
+    # refused with --which I in either flag form; G reads the default None as 0
     message = "extremal construct: --bv-exponent applies only to --which G\n"
     for argv in (["--which", "I", "--bv-exponent", "0"], ["--bv-exponent=3", "--which", "I"]):
         assert run(["extremal", "construct", "--x", "1e6", *argv]) == 2
         assert capsys.readouterr() == ("", message)
-    assert cli.parse_direct(["extremal", "construct", "--x", "1e6"]).bv_exponent is None
+    assert cli.PARSER.parse_args(["extremal", "construct", "--x", "1e6"]).bv_exponent is None
     outs = []
     for argv in ([], ["--bv-exponent", "0"]):
         assert run(["extremal", "construct", "--x", "1e6", "--which", "G", *argv]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert run(["extremal", "construct", "--x", "1e6", "--which", "I"]) == 0
-
-
-_FLAG_VALUES = {int: ["0", "1", "7", "140", "6000", " 12", "+3", "1_000", "-4", "x", "", "1e3"],
-                cli._finite_float: ["1e6", "2.5", "3000", "inf", "nan", "1e400", "-3", "x"],
-                str: ["out.json", "-", "", "a b", "G", "I", "H", "--max"]}
-_NOISE = ["-h", "--help", "--", "--ma", "--out=x", "--max", "--which", "5", "-5", "extra", "scan", "G"]
-
-
-@st.composite
-def _argvs(draw):
-    """An argv built from COMMANDS, then perhaps perturbed."""
-    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
-    argv, arguments = [name], cli.COMMANDS[name][2]
-    if isinstance(arguments, dict):
-        action = draw(st.sampled_from(sorted(arguments)))
-        argv, arguments = argv + [action], arguments[action]
-    flags = []
-    for flag, keywords in arguments:
-        values = _FLAG_VALUES[keywords.get("type", str)]
-        if "choices" in keywords:
-            values = [*keywords["choices"], "H"]
-        if not flag.startswith("--"):  # count's integers
-            argv += draw(st.lists(st.sampled_from(values), min_size=1, max_size=3))
-        elif keywords.get("required") or draw(st.booleans()):
-            flags.append([flag, draw(st.sampled_from(values))])
-    argv += [token for pair in draw(st.permutations(flags)) for token in pair]
-    for _ in range(draw(st.integers(0, 2))):
-        at = draw(st.integers(0, len(argv)))
-        edit = draw(st.sampled_from(["drop", "insert", "repeat"]))
-        if edit == "drop" and at < len(argv):
-            del argv[at]
-        elif edit == "insert":
-            argv.insert(at, draw(st.sampled_from(_NOISE)))
-        elif at < len(argv):
-            argv.insert(at, argv[at])
-    return argv
-
-
-@settings(max_examples=400, deadline=None)
-@given(_argvs())
-def test_direct_parse_equals_argparse(argv):
-    direct = cli.parse_direct(argv)
-    if direct is None:
-        return
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(err):
-        try:
-            full = cli.build_parser().parse_args(argv)
-        except SystemExit:
-            full = None
-    assert direct == full, (argv, err.getvalue())

@@ -245,6 +245,25 @@ def test_log_counts_bit_for_bit_against_subgroup_counts(table_100k):
         assert np.array_equal(short_i, log_i[: N + 1]), N
 
 
+def test_cyclic_only_primes_at_their_thresholds(table_100k):
+    # an odd p <= sqrt(N) is skipped as a doubling unless some n <= N has a p-Sylow
+    # beyond Z_p: Z_{p^2} from p^3 or from a prime q = 1 (mod p^2), Z_p x Z_p from
+    # p^2 q0 or q0 q1.  At N = t - 1 and N = t for each such size t, the arrays
+    # are still the prefix of those at 1e5
+    t, top = table_100k, 10**5
+    log_g, log_i = mg.log_counts(t, top)
+    primes = t.primes.tolist()
+    for p in primes[1:17]:  # the odd p <= 60
+        q0, q1 = [q for q in primes if q % p == 1][:2]
+        q_square = next((q for q in primes if q % (p * p) == 1), top + 1)
+        for threshold in (p**3, p * p * q0, q0 * q1, q_square):
+            for N in (threshold - 1, threshold):
+                if N <= top:
+                    short_g, short_i = mg.log_counts(t, N)
+                    assert np.array_equal(short_g, log_g[: N + 1]), (p, N)
+                    assert np.array_equal(short_i, log_i[: N + 1]), (p, N)
+
+
 def test_column_counts_count_subpartitions_of_every_sylow_shape():
     # I(n) on the per-n path comes from the unit-weight column sweep alone;
     # check it on every distinct Sylow shape of n <= 1e5 against the DP count
