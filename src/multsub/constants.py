@@ -85,8 +85,19 @@ def b_term_closed(p, corrected: bool = True):
     corrected=False keeps the duplicated -p^3 in its place (p^4 - 2p^3 - p - 1),
     for discrepancy reporting."""
     p = np.asarray(p, dtype=np.float64)
-    num = p**4 - p**3 - p**2 - p - 1 if corrected else p**4 - 2 * p**3 - p - 1
-    return 0.25 * p**3 * num * np.log(p) ** 2 / ((p - 1) ** 6 * (p + 1) ** 2 * (p * p + p + 1))
+    return _closed_term(p, _closed_factors(p), corrected)
+
+
+def _closed_factors(p: np.ndarray) -> tuple:
+    """What both closed forms share: p^3, p^4, p^3/4, (log p)^2 and the denominator."""
+    p3 = p**3
+    return p3, p**4, 0.25 * p3, np.log(p) ** 2, (p - 1) ** 6 * (p + 1) ** 2 * (p * p + p + 1)
+
+
+def _closed_term(p: np.ndarray, factors: tuple, corrected: bool) -> np.ndarray:
+    p3, p4, quarter_p3, lp2, den = factors
+    num = p4 - p3 - p**2 - p - 1 if corrected else p4 - 2 * p3 - p - 1
+    return quarter_p3 * num * lp2 / den
 
 
 def b_term_series_exact(p: int) -> Fraction:
@@ -118,8 +129,9 @@ def compute_B_report(b: ConstantEstimate, primes: np.ndarray | None = None) -> d
     """The series estimate b against both closed forms, each one fsum of float64
     array terms over the same primes, plus per-prime and aggregate discrepancies."""
     ps = _as_primes(b.prime_limit, primes).astype(np.float64)
-    closed = math.fsum(b_term_closed(ps).tolist())
-    uncorrected = math.fsum(b_term_closed(ps, corrected=False).tolist())
+    factors = _closed_factors(ps)
+    closed = math.fsum(_closed_term(ps, factors, True).tolist())
+    uncorrected = math.fsum(_closed_term(ps, factors, False).tolist())
     head = ps[:2000]
     per_prime = float(np.max(np.abs(b_term_series(head) - b_term_closed(head))))
     return {
@@ -169,9 +181,13 @@ def normalization() -> tuple[float, float]:
 
 def single_prime_power_sum(x_limit: float) -> float:
     """(1/4) sum_{q <= X} Lambda(q)/phi(q)^2 over prime powers; -> A0 as X grows."""
+    return _single_sum(prime_power_list(x_limit))
+
+
+def _single_sum(qs: list[tuple[int, float]]) -> float:
     total = 0.0
     base: dict[float, int] = {}  # Lambda -> p: q ascends, so p comes before its powers
-    for q, logp in prime_power_list(x_limit):
+    for q, logp in qs:
         total += logp / (q - q // base.setdefault(logp, q)) ** 2
     return 0.25 * total
 
@@ -194,7 +210,10 @@ def double_prime_power_sum(x_limit: float, brute: bool = False) -> float:
                     multgroup.euler_phi(q1) * multgroup.euler_phi(q2) * multgroup.euler_phi(lcm)
                 )
         return 0.25 * total
+    return _double_sum(qs)
 
+
+def _double_sum(qs: list[tuple[int, float]]) -> float:
     per_prime: dict[float, list[int]] = {}  # by Lambda = log p, each list ascending from p
     for q, lp in qs:
         per_prime.setdefault(lp, []).append(q)
@@ -217,8 +236,9 @@ def infinite_sum_checks(a0: ConstantEstimate, b: ConstantEstimate, x_limit: floa
     the estimates of A0 and 4 A0^2 + B."""
     if x_limit < 10:
         raise ValueError("x_limit must be at least 10")
-    s1 = single_prime_power_sum(x_limit)
-    s2 = double_prime_power_sum(x_limit)
+    qs = prime_power_list(x_limit)
+    s1 = _single_sum(qs)
+    s2 = _double_sum(qs)
     target2 = 4 * a0.value**2 + b.value
     return {
         "X": x_limit,

@@ -26,6 +26,7 @@ OMEGA0 = 0  # function id for omega(phi(n))
 E_E = math.e**math.e
 
 _CHUNK = 1 << 20
+_COUNT_SLICE = 1 << 16
 
 _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, as Python floats
 
@@ -207,9 +208,9 @@ def surrogate_moments(hs: list[int], x: float, table: FunctionTable) -> dict[int
     """Centered moment sums M_h = sum_{n <= x} (P_n - D)^h for each h in hs.
 
     P_n depends on n only through its row (omega(phi(n)), omega_q(n) for each
-    surrogate q), keyed here in mixed radix.  P - D and its powers are computed
-    once per distinct row and gathered back to n = 1..x, so each sum sees the
-    same array as a per-n evaluation."""
+    surrogate q), keyed here in mixed radix.  The n of each distinct row are
+    counted, and each M_h is the exactly rounded sum of count * (P - D)^h over
+    the rows: equal to math.fsum of the per-n values, bit for bit."""
     for h in hs:
         if not 1 <= h <= 8:
             raise ValueError("h must be between 1 and 8")
@@ -223,20 +224,24 @@ def surrogate_moments(hs: list[int], x: float, table: FunctionTable) -> dict[int
         wq = omega_q_table(table, q)[1 : xi + 1]
         radices.append(int(wq.max()) + 1)
         key = key.astype(np.min_scalar_type(math.prod(radices) - 1)) * radices[-1] + wq
-    present = np.zeros(math.prod(radices), dtype=bool)
-    present[key] = True
-    keys = np.flatnonzero(present)  # the distinct rows, ascending
+    counts = np.zeros(math.prod(radices), dtype=np.int64)
+    for i in range(0, xi, _COUNT_SLICE):  # bincount copies its input to intp
+        counts += np.bincount(key[i : i + _COUNT_SLICE], minlength=len(counts))
+    keys = np.flatnonzero(counts)  # the distinct rows, ascending
     omega_phi, *digits = np.unravel_index(keys, radices)
     pn = LOG2 * omega_phi.astype(np.float64)
     for (_, logp), w in zip(qs, digits):
         wq = w.astype(np.float64)
         pn += 0.25 * logp * wq * wq
     centered = pn - surrogate_mean(x, table)
-    power = np.zeros(int(keys[-1]) + 1)
+    counts = counts[keys].tolist()
     moments = {}
     for h in hs:
-        power[keys] = centered**h
-        moments[h] = chunked_sum(power[key])
+        # Each value is num / den with den a power of 2, so over the largest
+        # den the sum is one integer; int / int rounds correctly.
+        ratios = [v.as_integer_ratio() for v in (centered**h).tolist()]
+        den = max(d for _, d in ratios)
+        moments[h] = sum(c * num * (den // d) for (num, d), c in zip(ratios, counts)) / den
     return moments
 
 

@@ -1,17 +1,19 @@
 """Bulk tables of arithmetic functions over [2, N] and scalar prime utilities.
 
 The FunctionTable holds, for every n up to N: Euler's totient and the
-prime-divisor counts omega(phi(n)) and Omega(phi(n)), plus the primes up
-to N.  Construction makes one vectorized pass per prime up to
-sqrt(N) and then one step over all n for the single prime factor above
-sqrt(N) that n may have; after construction the table is immutable and safe
-to share across threads.
+prime-divisor count omega(phi(n)), plus the primes up to N; Omega(phi(n))
+is sieved at its first read.  Construction makes one vectorized pass per
+prime up to sqrt(N) and then one step over all n for the single prime factor
+above sqrt(N) that n may have; after construction the table is immutable
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +23,12 @@ DEFAULT_MEMORY_BUDGET = 2 * 1024**3
 # strong pseudoprime to all of them (without 41 the bound falls to 3.18e23).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 IS_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+# psi_k, the least strong pseudoprime to the first k bases (OEIS A014233):
+# n < psi_k needs only those k.
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461,
+           IS_PRIME_LIMIT)
 
 
 class MemoryBudgetError(ValueError):
@@ -40,7 +48,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -62,12 +70,16 @@ def primes_up_to(limit: float) -> np.ndarray:
     if 2 * (n + 1) > DEFAULT_MEMORY_BUDGET:  # the mask, and under 16/ln(n) bytes of primes per entry
         raise MemoryBudgetError(f"primes up to {n} need about {2 * (n + 1)} bytes, "
                                 f"budget {DEFAULT_MEMORY_BUDGET}")
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1, odd[0] for 2
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def prime_power_list(x: float) -> list[tuple[int, float]]:
@@ -93,8 +105,21 @@ class FunctionTable:
     N: int
     phi: np.ndarray            # Euler totient, int32
     omega_phi: np.ndarray      # omega(phi(n)), uint8
-    bigomega_phi: np.ndarray   # Omega(phi(n)), uint8
     primes: np.ndarray         # the primes <= N, ascending, int64
+    big: np.ndarray            # n has a prime factor above sqrt(N), bool
+
+    @cached_property
+    def bigomega_phi(self) -> np.ndarray:
+        """Omega(phi(n)), uint8, sieved at the first read (only scan reads it)."""
+        bigomega = self.big.astype(np.uint8)
+        for p in self.primes[: np.searchsorted(self.primes, math.isqrt(self.N), side="right")].tolist():
+            q = p
+            while q <= self.N:
+                bigomega[q::q] += 1
+                q *= p
+        bigomega_phi = bigomega[self.phi]
+        bigomega_phi[0] = 0
+        return bigomega_phi
 
 
 def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
@@ -126,29 +151,20 @@ def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
             q, factor = q * p, p
     big = rem > 1
     rem -= 1
-    np.multiply(phi, rem, out=phi, where=big)
-    del rem  # freed before the omega columns: the peak stays under 16 bytes per entry
+    np.maximum(rem, 1, out=rem)  # P - 1 for the prime P > sqrt(N) left in rem, else 1
+    phi *= rem
+    del rem  # freed before the omega column: the peak stays under 16 bytes per entry
 
     omega = big.astype(np.uint8)
     for p in small:
         omega[p::p] += 1
-    bigomega = big.astype(np.uint8)
-    del big
-    for p in small:
-        q = p
-        while q <= N:
-            bigomega[q::q] += 1
-            q *= p
 
     phi[0] = 0
     phi[1] = 1
     omega_phi = omega[phi]
-    bigomega_phi = bigomega[phi]
     omega_phi[0] = 0
-    bigomega_phi[0] = 0
 
-    return FunctionTable(N=N, phi=phi, omega_phi=omega_phi,
-                         bigomega_phi=bigomega_phi, primes=primes)
+    return FunctionTable(N=N, phi=phi, omega_phi=omega_phi, primes=primes, big=big)
 
 
 def omega_q_table(table: FunctionTable, q: int) -> np.ndarray:

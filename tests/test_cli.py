@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from multsub import cli, constants
+from multsub import cli, constants, sieve
 from multsub.cli import run
 
 
@@ -137,6 +137,18 @@ def test_moments_and_distribution_read_the_pinned_normalization(monkeypatch, cap
     assert '"variance_coefficient": 1.2967338448823222' in out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "07622076d7e91182c46cfccc9e9a0936b1fa925fc0dd902e14aa7e4733330209")
+
+
+def test_only_scan_sieves_bigomega_phi(monkeypatch, capsys):
+    def refuse(table):
+        raise AssertionError("Omega(phi(n)) was sieved")
+
+    monkeypatch.setattr(sieve.FunctionTable, "bigomega_phi", property(refuse))
+    for argv in (["moments", "--x", "20000"], ["distribution", "--x", "2000", "--which", "G"],
+                 ["extremal", "scan", "--max", "2000"]):
+        assert run(argv) == 0, argv
+    with pytest.raises(AssertionError, match="was sieved"):
+        run(["scan", "--max", "100"])
 
 
 def test_distribution_json(tmp_path):

@@ -198,19 +198,31 @@ def _surrogate_array(x, table):
     return pn
 
 
+def _assert_moments_are_fsum_per_n(xs, table):
+    hs = list(range(1, 9))
+    for x in xs:
+        centered = _surrogate_array(x, table)[1:] - ekstats.surrogate_mean(x, table)
+        per_n = {h: math.fsum((centered**h).tolist()) for h in hs}
+        assert ekstats.surrogate_moments(hs, x, table) == per_n, x
+
+
 @pytest.mark.parametrize("qs_bound", [None, 9])
 def test_distinct_row_moments_match_per_n(table_10k, table_100k, monkeypatch, qs_bound):
-    """Bit for bit, with the surrogate's prime powers as at x (empty below
-    x ~ 1.76e8) and with them forced to the prime powers <= 9, so that every
-    omega_q digit of the row key is exercised."""
+    """Bit for bit the exactly rounded sum of the per-n values, with the
+    surrogate's prime powers as at x (empty below x ~ 1.76e8) and with them
+    forced to the prime powers <= 9, so that every omega_q digit of the row
+    key is exercised."""
     if qs_bound is not None:
         qs = sieve.prime_power_list(qs_bound)
         monkeypatch.setattr(ekstats, "surrogate_prime_powers", lambda x: qs)
-    hs = list(range(1, 9))
-    for x, table in ((1e4, table_10k), (1e5, table_100k)):
-        centered = _surrogate_array(x, table)[1:] - ekstats.surrogate_mean(x, table)
-        per_n = {h: ekstats.chunked_sum(centered**h) for h in hs}
-        assert ekstats.surrogate_moments(hs, x, table) == per_n, x
+    _assert_moments_are_fsum_per_n([1e4], table_10k)
+    _assert_moments_are_fsum_per_n([1e5], table_100k)
+
+
+def test_moments_across_the_counting_slices():
+    # the rows are counted in slices of 2^16 n; x = 505,000 is the
+    # benchmark's size, and ends inside a slice
+    _assert_moments_are_fsum_per_n([2**16 - 1, 2**16, 2**16 + 1, 505_000], sieve.build(505_000))
 
 
 def test_first_moment_two_ways(table_100k):

@@ -23,6 +23,22 @@ def test_is_prime():
     assert sieve.is_prime(sieve.IS_PRIME_LIMIT)
 
 
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+def test_is_prime_uses_one_more_base_at_each_pseudoprime():
+    # is_prime tries the first k bases for n < psi_k; psi_k itself passes
+    # exactly those k, so it takes one more to be refused
+    for k, psi in enumerate(sieve._MR_PSI, start=1):
+        assert all(_strong_probable_prime(psi, a) for a in sieve._MR_BASES[:k]), k
+        assert sieve.is_prime(psi) == (psi == sieve.IS_PRIME_LIMIT), k
+
+
 def test_primes_up_to():
     assert sieve.primes_up_to(10).tolist() == [2, 3, 5, 7]
     assert sieve.primes_up_to(2).tolist() == [2]
@@ -31,6 +47,20 @@ def test_primes_up_to():
     # refused before the mask is allocated, as build refuses its table
     with pytest.raises(sieve.MemoryBudgetError, match="primes up to 10000000000000 need"):
         sieve.primes_up_to(1e13)
+
+
+def test_primes_up_to_matches_a_plain_mask_sieve():
+    def plain(n):
+        mask = np.ones(n + 1, dtype=bool)
+        mask[:2] = False
+        for p in range(2, math.isqrt(n) + 1):
+            if mask[p]:
+                mask[p * p :: p] = False
+        return np.flatnonzero(mask).astype(np.int64)
+
+    for n in [*range(2001), 10**5, 505_000, 10**6 + 3]:
+        got = sieve.primes_up_to(n)
+        assert got.dtype == np.int64 and np.array_equal(got, plain(n)), n
 
 
 def test_prime_power_list():
@@ -157,6 +187,7 @@ _SQUARE_EDGES = [m for p in range(2, 101) if sieve.is_prime(p) for m in (p * p -
 def test_build_matches_per_prime_reference(sizes):
     for N in sizes:
         t = sieve.build(N)
+        assert "bigomega_phi" not in vars(t)  # sieved at its first read
         got = (t.phi, t.omega_phi, t.bigomega_phi, t.primes)
         for name, a, b in zip(("phi", "omega_phi", "bigomega_phi", "primes"),
                               got, _build_per_prime(N)):
