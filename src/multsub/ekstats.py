@@ -221,7 +221,7 @@ def surrogate_moments(hs: list[int], x: float, table: FunctionTable) -> dict[int
     key = table.omega_phi[1 : xi + 1]  # a view: no per-n copy while qs is empty
     radices = [int(key.max()) + 1]
     for q, _ in qs:
-        wq = omega_q_table(table, q)[1 : xi + 1]
+        wq = omega_q_table(table, q, xi)[1:]
         radices.append(int(wq.max()) + 1)
         key = key.astype(np.min_scalar_type(math.prod(radices) - 1)) * radices[-1] + wq
     counts = np.zeros(math.prod(radices), dtype=np.int64)

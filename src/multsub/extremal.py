@@ -145,27 +145,10 @@ class BoundCheckReport:
 
 def _i_cap(table: FunctionTable, N: int) -> np.ndarray:
     """pi sqrt(2/3) * sum over p | phi(n) of sqrt(nu_p(phi(n))), for 0 <= n <= N
-    (0 where phi(n) = 1), with the terms added in ascending p.
-
-    The sum is an additive function of m = phi(n) <= N, so it is sieved over
-    m: each p <= sqrt(N) adds sqrt(nu_p(m)) at the multiples of p, with
-    nu_p(m) counted from one slice per power of p, and 1 to the number of
-    small primes dividing m.  At most one prime above sqrt(N) divides m, and
-    one does where omega(m) exceeds that number."""
-    f = np.zeros(N + 1)
-    small = np.zeros(N + 1, dtype=np.uint8)
-    for p in table.primes[table.primes <= math.isqrt(N)].tolist():
-        nu = np.ones(N // p, dtype=np.uint8)  # nu[k - 1] = nu_p(k p)
-        q = p
-        while q <= N // p:
-            nu[q - 1::q] += 1
-            q *= p
-        f[p::p] += np.sqrt(nu, dtype=np.float64)
-        small[p::p] += 1
-    phi = table.phi[: N + 1]
-    total = f[phi]
-    total[table.omega_phi[: N + 1] > small[phi]] += 1.0
-    return PI_SQRT_2_3 * total
+    (0 where phi(n) = 1): an additive function of m = phi(n) <= N, sieved over
+    m with the terms added in ascending p."""
+    return PI_SQRT_2_3 * table.additive(lambda p, nu: np.sqrt(nu, dtype=np.float64), N,
+                                        np.float64)[table.phi[: N + 1]]
 
 
 def upper_bound_check(N: int, table: FunctionTable,

@@ -310,13 +310,12 @@ def _multiples(moduli: np.ndarray, N: int) -> np.ndarray:
     return np.repeat(moduli, c) * (np.arange(1, c.sum() + 1) - np.repeat(np.cumsum(c) - c, c))
 
 
-def _sylow_keys(table: FunctionTable, N: int, p: int, key: np.ndarray) -> tuple[list[int], np.ndarray]:
+def _sylow_keys(N: int, p: int, qs: np.ndarray, key: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Adds to the zeroed work array key the p-Sylow key of each n <= N: the
-    weight of v_p(q - 1) for each prime q = 1 (mod p) dividing n, and those of
-    the parts of p^e || n, telescoped over the powers of p.  Returns the
-    weights and the moduli, the q and p^2, whose multiples have p | phi(n)."""
-    qs = np.arange(p + 1, N + 1, p)
-    qs = qs[table.phi[qs] == qs - 1]  # the primes q = 1 (mod p)
+    weight of v_p(q - 1) for each prime q = 1 (mod p) dividing n (qs, those
+    q <= N ascending), and those of the parts of p^e || n, telescoped over the
+    powers of p.  Returns the weights and the moduli, the q and p^2, whose
+    multiples have p | phi(n)."""
     vq, rest = np.ones_like(qs), (qs - 1) // p
     while (more := rest % p == 0).any():
         vq += more
@@ -335,14 +334,12 @@ def _sylow_keys(table: FunctionTable, N: int, p: int, key: np.ndarray) -> tuple[
     return weights, np.append(qs, p * p)
 
 
-def _cyclic_only(table: FunctionTable, N: int, p: int) -> bool:
+def _cyclic_only(N: int, p: int, qs: np.ndarray) -> bool:
     """Whether p is odd and every n <= N has a p-Sylow of 1 or Z_p: p^3 > N, the
-    two least primes q = 1 (mod p), if there are two, have a product > N, and no
-    prime q <= N is 1 (mod p^2).  (p^2 q > p^3 for each such q: no third check.)"""
+    two least primes q = 1 (mod p) in qs, if there are two, have a product > N,
+    and no prime q <= N is 1 (mod p^2).  (p^2 q > p^3 for each such q: no third check.)"""
     if p == 2 or p**3 <= N:
         return False
-    qs = np.arange(p + 1, N + 1, p)
-    qs = qs[table.phi[qs] == qs - 1]  # the primes q = 1 (mod p)
     return (len(qs) < 2 or qs[0] * qs[1] > N) and not (qs % (p * p) == 1).any()
 
 
@@ -401,9 +398,11 @@ def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
     n_large = table.omega_phi[: N + 1].copy()  # primes > sqrt(N) dividing phi(n)
     key = np.zeros(N + 1, dtype=np.int64)  # zero again after each p
     for p in table.primes[table.primes <= math.isqrt(N)].tolist():
-        if _cyclic_only(table, N, p):  # a doubling, like the primes above sqrt(N)
+        qs = np.arange(p + 1, N + 1, p)
+        qs = qs[table.phi[qs] == qs - 1]  # the primes q = 1 (mod p)
+        if _cyclic_only(N, p, qs):  # a doubling, like the primes above sqrt(N)
             continue
-        weights, moduli = _sylow_keys(table, N, p, key)
+        weights, moduli = _sylow_keys(N, p, qs, key)
         on = (slice(None) if 2 * (N // moduli).sum() > N
               else np.unique(_multiples(moduli, N), return_counts=True)[0])  # a sort, no hash
         keys = key[on]

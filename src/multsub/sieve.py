@@ -1,11 +1,13 @@
 """Bulk tables of arithmetic functions over [2, N] and scalar prime utilities.
 
-The FunctionTable holds, for every n up to N: Euler's totient and the
-prime-divisor count omega(phi(n)), plus the primes up to N; Omega(phi(n))
-is sieved at its first read.  Construction makes one vectorized pass per
-prime up to sqrt(N) and then one step over all n for the single prime factor
-above sqrt(N) that n may have; after construction the table is immutable
-and safe to share across threads.
+The FunctionTable holds, for every n up to N, Euler's totient and whether n
+has a prime factor above sqrt(N), plus the primes up to N.  Construction
+makes one vectorized pass per prime up to sqrt(N) and then one step over all
+n for the single prime factor above sqrt(N) that n may have.  Every additive
+function (omega, Omega, the I cap's sum of sqrt(nu_p), omega_q) is sieved by
+`FunctionTable.additive` the same way; omega(phi(n)) and Omega(phi(n)) are
+gathered at their first read.  The table is immutable and safe to share
+across threads once its cached columns are read.
 """
 
 from __future__ import annotations
@@ -100,34 +102,62 @@ def prime_power_list(x: float) -> list[tuple[int, float]]:
 
 @dataclass(frozen=True)
 class FunctionTable:
-    """Immutable bulk arrays over [0, N]; entries below 2 are fillers."""
+    """Immutable bulk arrays over [0, N]; entries below 2 are fillers.  The
+    additive functions of n or of phi(n) come from `additive`."""
 
     N: int
     phi: np.ndarray            # Euler totient, int32
-    omega_phi: np.ndarray      # omega(phi(n)), uint8
     primes: np.ndarray         # the primes <= N, ascending, int64
     big: np.ndarray            # n has a prime factor above sqrt(N), bool
 
+    def additive(self, h, M: int | None = None, dtype=np.uint8) -> np.ndarray:
+        """f(m) = sum over p^k || m of h(p, k), for 0 <= m <= M (default N), as dtype.
+
+        h is called once per prime p <= sqrt(N), with an array of the
+        exponents nu_p(m) at the multiples m of p, and once with an array of
+        the primes P in (sqrt(N), M] and exponents 1.  The terms are added in
+        ascending p.  Each m has at most one such P, added last: by one add
+        of the big mask where h(P, 1) is the same for every P, else by one
+        slice per P with h(P, 1) != 0."""
+        M = self.N if M is None else M
+        if not 0 <= M <= self.N:
+            raise ValueError(f"need 0 <= M <= N = {self.N}, got {M}")
+        f = np.zeros(M + 1, dtype=dtype)
+        split, end = np.searchsorted(self.primes, [math.isqrt(self.N), M], side="right").tolist()
+        for p in self.primes[: min(split, end)].tolist():
+            nu = np.ones(M // p, dtype=np.uint8)  # nu[k - 1] = nu_p(k p)
+            q = p
+            while q <= M // p:
+                nu[q - 1::q] += 1
+                q *= p
+            f[p::p] += h(p, nu)
+        large = self.primes[split:end]
+        values = np.broadcast_to(h(large, np.ones(len(large), dtype=np.uint8)), large.shape)
+        if len(large) and (values == values[0]).all():
+            f += self.big[: M + 1] * f.dtype.type(values[0])
+        else:
+            for P, v in zip(large[values != 0].tolist(), values[values != 0].tolist()):
+                f[P::P] += v
+        return f
+
+    @cached_property
+    def omega_phi(self) -> np.ndarray:
+        """omega(phi(n)), uint8, gathered at the first read."""
+        return self.additive(lambda p, nu: 1)[self.phi]
+
     @cached_property
     def bigomega_phi(self) -> np.ndarray:
-        """Omega(phi(n)), uint8, sieved at the first read (only scan reads it)."""
-        bigomega = self.big.astype(np.uint8)
-        for p in self.primes[: np.searchsorted(self.primes, math.isqrt(self.N), side="right")].tolist():
-            q = p
-            while q <= self.N:
-                bigomega[q::q] += 1
-                q *= p
-        bigomega_phi = bigomega[self.phi]
-        bigomega_phi[0] = 0
-        return bigomega_phi
+        """Omega(phi(n)), uint8, gathered at the first read (only scan reads it)."""
+        return self.additive(lambda p, nu: nu)[self.phi]
 
 
 def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
     """Sieve all table columns for 2 <= n <= N."""
     if not 2 <= N < 2**31:  # phi and the remainder array are int32
         raise ValueError(f"N must be in [2, 2**31), got {N}")
-    # The build itself peaks under 10 bytes per entry; 16 keeps out the N at
-    # which log_counts's per-n int64 arrays would run out of memory instead.
+    # The build, and the first reads of omega_phi and bigomega_phi, peak under
+    # 10 bytes per entry; 16 keeps out the N at which log_counts's per-n int64
+    # arrays would run out of memory instead.
     if 16 * (N + 1) > memory_budget:
         raise MemoryBudgetError(
             f"table for N = {N} needs about {16 * (N + 1)} bytes, budget {memory_budget}"
@@ -153,26 +183,14 @@ def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
     rem -= 1
     np.maximum(rem, 1, out=rem)  # P - 1 for the prime P > sqrt(N) left in rem, else 1
     phi *= rem
-    del rem  # freed before the omega column: the peak stays under 16 bytes per entry
-
-    omega = big.astype(np.uint8)
-    for p in small:
-        omega[p::p] += 1
-
     phi[0] = 0
     phi[1] = 1
-    omega_phi = omega[phi]
-    omega_phi[0] = 0
-
-    return FunctionTable(N=N, phi=phi, omega_phi=omega_phi, primes=primes, big=big)
+    return FunctionTable(N=N, phi=phi, primes=primes, big=big)
 
 
-def omega_q_table(table: FunctionTable, q: int) -> np.ndarray:
-    """uint8 array over [0, N] with entry n = omega_q(n), the number of distinct
-    primes p | n with p = 1 (mod q); one slice per such p."""
+def omega_q_table(table: FunctionTable, q: int, M: int | None = None) -> np.ndarray:
+    """uint8 array over [0, M] (default N) with entry n = omega_q(n), the
+    number of distinct primes p | n with p = 1 (mod q)."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    arr = np.zeros(table.N + 1, dtype=np.uint8)
-    for p in table.primes[(table.primes - 1) % q == 0].tolist():
-        arr[p::p] += 1
-    return arr
+    return table.additive(lambda p, nu: (p - 1) % q == 0, M)

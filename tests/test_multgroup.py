@@ -298,7 +298,8 @@ def test_sylow_key_parts_sum_to_sylow_sizes_of_phi(table_100k):
                 ref[p][n] = e
     key = np.zeros(N + 1, dtype=np.int64)
     for p, nu in ref.items():
-        weights, moduli = mg._sylow_keys(t, N, p, key)
+        qs = t.primes[(t.primes <= N) & (t.primes % p == 1)]
+        weights, moduli = mg._sylow_keys(N, p, qs, key)
         distinct, inverse = np.unique(key, return_inverse=True)
         got = np.array([sum(mg._key_columns(k, weights)) for k in distinct.tolist()])[inverse]
         bad = np.flatnonzero(got[1:] != nu[1:]) + 1

@@ -106,14 +106,21 @@ def test_table_matches_per_n_computation(table_10k):
 
 
 def test_omega_q_tables(table_10k):
+    # primes above sqrt(N) = 100 are odd, so q = 2 adds theirs by the big mask
+    # and q >= 3 by one slice each; M ends around 97^2, just above sqrt(N) and at N
     t = table_10k
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        arr = sieve.omega_q_table(t, q)
-        for n in range(2, 10**4 + 1):
-            assert int(arr[n]) == mg.omega_q(n, q, mg.factorize(n)), (n, q)
+    facts = [mg.factorize(n) if n else [] for n in range(10**4 + 1)]
+    for q in range(2, 10):
+        ref = np.array([mg.omega_q(n, q, f) if n > 1 else 0 for n, f in enumerate(facts)])
+        full = sieve.omega_q_table(t, q)
+        assert full.dtype == np.uint8 and np.array_equal(full, ref), q
+        for M in (97**2 - 1, 97**2, 97**2 + 1, 101, 10**4):
+            assert np.array_equal(sieve.omega_q_table(t, q, M), full[: M + 1]), (q, M)
     assert int(sieve.omega_q_table(t, 2)[12]) == 1
     assert int(sieve.omega_q_table(t, 4)[10]) == 1
     assert int(sieve.omega_q_table(t, 9)[2]) == 0
+    with pytest.raises(ValueError, match="M <= N"):
+        sieve.omega_q_table(t, 2, 10**4 + 1)
 
 
 def test_mertens_progression_sums_at_1e7():
@@ -206,3 +213,17 @@ def test_build_peak_memory_within_budget_rate():
         tracemalloc.stop()
     assert t.N == N
     assert peak <= 16 * (N + 1), peak / (N + 1)
+
+
+def test_table_columns_peak_under_ten_bytes_per_entry():
+    # the build and the first reads of both gathered columns: the large prime
+    # above sqrt(N) is not kept per entry, only the big mask
+    N = 200_000
+    tracemalloc.start()
+    try:
+        t = sieve.build(N)
+        t.omega_phi, t.bigomega_phi
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * (N + 1), peak / (N + 1)
