@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Digest of one cold `multgroup.log_counts(table, N)` call: the sha256 of the
-two float64 arrays (log G and log I over 0 <= n <= N, as raw bytes), the CPU
-seconds of the call (`time.process_time`, the table build excluded) and this
-process's peak RSS (`ru_maxrss`, the table included).  Two checkouts compute
-the same arrays when their digests agree.
+"""Digest of one cold `multgroup.subgroup_count_arrays(table, N)` call with
+`exact_logs` of both arrays: the sha256 of the two float64 arrays (log G and
+log I over 0 <= n <= N, as raw bytes), the CPU seconds of the calls
+(`time.process_time`, the table build excluded) and this process's peak RSS
+(`ru_maxrss`, the table included).  Two checkouts compute the same arrays when
+their digests agree.
 
     PYTHONPATH=src python scripts/log_counts_digest.py 1e7
 """
@@ -22,7 +23,7 @@ def main():
     N = parser.parse_args().N
     table = sieve.build(N)
     start = time.process_time()
-    log_g, log_i = multgroup.log_counts(table, N)
+    log_g, log_i = map(multgroup.exact_logs, multgroup.subgroup_count_arrays(table, N))
     cpu = time.process_time() - start
     print(f"N {N}")
     print(f"logG_sha256 {hashlib.sha256(log_g.tobytes()).hexdigest()}")

@@ -124,7 +124,7 @@ def pin_single_sum_tail(prime_limit=10**7):
 def pin_g_upper_slack(n_max=10**5):
     table = sieve.build(n_max)
     base = 0.25 * math.log(n_max) ** 2 / math.log(math.log(n_max))
-    ratios = multgroup.log_counts(table, n_max)[0] / base
+    ratios = multgroup.exact_logs(multgroup.subgroup_count_arrays(table, n_max)[0]) / base
     n = 3 + int(ratios[3:].argmax())  # the first maximum
     worst = (float(ratios[n]), n)
     print(f"G_UPPER_BOUND_SLACK: scan max ratio {worst[0]:.6f} at n = {worst[1]}")

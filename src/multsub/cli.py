@@ -3,7 +3,7 @@
 Subcommands: count, scan, distribution, moments, constants, verify, extremal.
 Output is deterministic for a fixed configuration: reductions use fixed chunk
 boundaries derived from the input size, so repeated runs are byte-identical.
-Exit codes: 0 success, 1 invariant or construction failure, 2 usage error.
+Exit codes: 0 success, 1 invariant or construction failure, 2 usage error or out of memory.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import math
 import sys
 from fractions import Fraction
 from itertools import permutations
-
-import numpy as np
 
 from . import constants as constants_mod
 from . import ekstats, extremal, multgroup, partitions, polyops, sieve
@@ -55,20 +53,14 @@ def cmd_scan(args) -> int:
         print("scan: --max must be at least 2", file=sys.stderr)
         return 2
     table = sieve.build(n_max)
-    log_g, log_i = multgroup.log_counts(table, n_max)
-    fields = (map(str, range(2, n_max + 1)), map(str, table.phi[2:].tolist()),
-              _per_value(table.omega_phi[2:], str), _per_value(table.bigomega_phi[2:], str),
-              _per_value(log_g[2:], "{:.6f}".format), _per_value(log_i[2:], "{:.6f}".format))
+    g, i = multgroup.subgroup_count_arrays(table, n_max)
+    log6 = lambda count: f"{math.log(count):.6f}"
+    fields = [map(str, range(2, n_max + 1)), map(str, table.phi[2:].tolist())]
+    for col, fmt in ((table.omega_phi, str), (table.bigomega_phi, str), (g, log6), (i, log6)):
+        fields.append(multgroup.per_distinct(col[2:], fmt, object).tolist())  # each value formatted once
     rows = "\n".join(map(",".join, zip(*fields)))
     _emit(f"n,phi,omega_phi,bigomega_phi,logG,logI\n{rows}\n", args.out)
     return 0
-
-
-def _per_value(col: np.ndarray, fmt) -> list[str]:
-    """fmt of each entry of col, formatted once per distinct value."""
-    values, inverse = np.unique(col, return_inverse=True)
-    text = [fmt(v) for v in values.tolist()]
-    return [text[k] for k in inverse.tolist()]
 
 
 def cmd_distribution(args) -> int:
@@ -278,8 +270,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # numpy's _ArrayMemoryError is a MemoryError
+        reason = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"{args.command}: {reason}{exc}", file=sys.stderr)
         return 2
 
 

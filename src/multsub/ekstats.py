@@ -309,7 +309,7 @@ def distribution_report(x: int, which: str, table: FunctionTable,
         mean_coeff, var_coeff = LOG2 / 2.0, LOG2 / 3.0
 
     n_min = 16  # smallest integer above e^e
-    logs = multgroup.log_counts(table, x)[0 if which == "G" else 1]
+    logs = multgroup.exact_logs(multgroup.subgroup_count_arrays(table, x)[0 if which == "G" else 1])
     ll = np.log(np.log(np.arange(n_min, x + 1, dtype=np.float64)))
     samples = (logs[n_min:] - mean_coeff * ll**2) / np.sqrt(var_coeff * ll**3)
 

@@ -50,9 +50,9 @@ def scan_max(N: int, which: str, table: FunctionTable) -> ExtremalRecord:
         raise ValueError("which must be 'G' or 'I'")
     if N < 3 or table.N < N:
         raise ValueError("need 3 <= N <= table.N")
-    values = multgroup.log_counts(table, N)[0 if which == "G" else 1]
-    best_n = 3 + int(np.argmax(values[3:]))  # the first maximum
-    best = float(values[best_n])
+    counts = multgroup.subgroup_count_arrays(table, N)[0 if which == "G" else 1]
+    best_n = 3 + int(np.argmax(counts[3:]))  # the first maximum, that of the logs too: distinct
+    best = math.log(int(counts[best_n]))     # counts below about 1e14 have distinct logs
     return ExtremalRecord(best_n, best, _normalized(best, math.log(best_n), which), "scan")
 
 
@@ -161,7 +161,7 @@ def upper_bound_check(N: int, table: FunctionTable,
         raise ValueError("need 100 <= N <= table.N")
     base = 0.25 * math.log(N) ** 2 / math.log(math.log(N))
     g_bound = base * (1 + slack)
-    log_g, log_i = multgroup.log_counts(table, N)
+    log_g, log_i = map(multgroup.exact_logs, multgroup.subgroup_count_arrays(table, N))
     i_cap = _i_cap(table, N)
     return BoundCheckReport(
         N=N, g_bound=g_bound, slack=slack, max_log_g=float(log_g.max()),

@@ -3,7 +3,8 @@
 Factorization, the prime-counting functions omega_q and their boundary
 corrected variants, Carmichael exponents, Sylow partitions from the primary
 decomposition (and, as a check, from omega_bar and lambda_p), exact subgroup
-counts G(n) and I(n), and an independent closure-based enumeration oracle.
+counts G(n) and I(n), per n or as int64 arrays over a table whose consumers take
+the logs they read (`exact_logs`), and an independent closure-based enumeration oracle.
 """
 
 from __future__ import annotations
@@ -372,15 +373,21 @@ def _checked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a
 
 
-def _exact_logs(counts: np.ndarray) -> np.ndarray:
-    """math.log of each exact count, taken once per distinct value."""
-    values, inverse = _unique_inverse(counts)
-    return np.array([math.log(v) for v in values.tolist()])[inverse]
+def per_distinct(x: np.ndarray, f, dtype) -> np.ndarray:
+    """f of each entry of the nonempty nonnegative integer array x, as an array
+    of dtype, with f called once per distinct value, in ascending order."""
+    values, inverse = _unique_inverse(x.astype(np.int64, copy=False))
+    return np.array([f(v) for v in values.tolist()], dtype=dtype)[inverse]
 
 
-def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log G(n), log I(n)) for 0 <= n <= N: two float64 arrays holding math.log
-    of the exact counts (0 at n = 0 and 1).
+def exact_logs(counts: np.ndarray) -> np.ndarray:
+    """math.log of each exact count, as float64, taken once per distinct value."""
+    return per_distinct(counts, math.log, np.float64)
+
+
+def subgroup_count_arrays(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G(n), I(n)) for 0 <= n <= N: two int64 arrays holding the exact counts
+    (1 at n = 0 and 1), as `subgroup_counts(n)` gives them one n at a time.
 
     Only the p-Sylow components with p <= sqrt(N) can have rank 2 or more.
     For each such p one int64 key per n, additive over the prime divisors of
@@ -414,9 +421,7 @@ def log_counts(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
         i[on] = _checked_product(i[on], per_key[inverse, 1])
         key[on] = 0
     doubling = np.left_shift(np.int64(1), n_large, out=key)  # reuses the work array
-    log_g = _exact_logs(_checked_product(g, doubling))
-    del g  # one count array at a time in memory
-    return log_g, _exact_logs(_checked_product(i, doubling))
+    return _checked_product(g, doubling), _checked_product(i, doubling)
 
 
 # ---------------------------------------------------------------------------

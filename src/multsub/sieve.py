@@ -151,16 +151,16 @@ class FunctionTable:
         return self.additive(lambda p, nu: nu)[self.phi]
 
 
-def build(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FunctionTable:
+def build(N: int) -> FunctionTable:
     """Sieve all table columns for 2 <= n <= N."""
     if not 2 <= N < 2**31:  # phi and the remainder array are int32
         raise ValueError(f"N must be in [2, 2**31), got {N}")
-    # The build, and the first reads of omega_phi and bigomega_phi, peak under
-    # 10 bytes per entry; 16 keeps out the N at which log_counts's per-n int64
-    # arrays would run out of memory instead.
-    if 16 * (N + 1) > memory_budget:
+    # The table and its first omega_phi and bigomega_phi reads peak under 10 bytes
+    # per entry, so 16 bounds the table alone: the structure pass needs about 84
+    # bytes per n with it, and below this bound a command may still hit MemoryError.
+    if 16 * (N + 1) > DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetError(
-            f"table for N = {N} needs about {16 * (N + 1)} bytes, budget {memory_budget}"
+            f"table for N = {N} needs about {16 * (N + 1)} bytes, budget {DEFAULT_MEMORY_BUDGET}"
         )
 
     primes = primes_up_to(N)

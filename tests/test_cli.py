@@ -1,9 +1,10 @@
 import hashlib
 import json
+import math
 
 import pytest
 
-from multsub import cli, constants, sieve
+from multsub import cli, constants, multgroup, sieve
 from multsub.cli import run
 
 
@@ -40,6 +41,30 @@ def test_scan_row_count_and_header(tmp_path):
     row8 = lines[8 - 1].split(",")
     assert row8[0] == "8" and row8[1] == "4"
     assert float(row8[4]) == pytest.approx(1.609438, abs=1e-6)  # log 5
+
+
+def test_scan_csv_matches_per_n_definitions(capsys):
+    rows = ["n,phi,omega_phi,bigomega_phi,logG,logI"]
+    for n in range(2, 2001):
+        phi = multgroup.euler_phi(n)
+        fact = multgroup.factorize(phi)
+        logs = ",".join(f"{math.log(c):.6f}" for c in multgroup.subgroup_counts(n))
+        rows.append(f"{n},{phi},{len(fact)},{sum(e for _, e in fact)},{logs}")
+    assert run(["scan", "--max", "2000"]) == 0
+    assert capsys.readouterr().out == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["scan", "--max", "100"], ["distribution", "--x", "100"],
+                                  ["extremal", "scan", "--max", "100", "--which", "I"]])
+def test_out_of_memory_is_one_stderr_line(capsys, monkeypatch, argv):
+    def fail(table, N):
+        raise MemoryError("Unable to allocate 763. MiB for an array")
+
+    monkeypatch.setattr(multgroup, "subgroup_count_arrays", fail)
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{argv[0]}: out of memory: Unable to allocate 763. MiB for an array\n"
 
 
 def test_scan_deterministic(tmp_path):

@@ -163,7 +163,7 @@ def test_i_cap_bit_for_bit_against_per_n_factorization(table_100k):
 
 
 def test_i_cap_builds_no_sylow_keys(table_10k, monkeypatch):
-    # the cap is computed from the totient column, independently of log_counts
+    # the cap is computed from the totient column, independently of the count arrays
     ref = extremal._i_cap(table_10k, 6049)
     monkeypatch.setattr(multgroup, "_sylow_keys",
                         lambda *args: pytest.fail("Sylow keys built"))

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multsub import cli
+from multsub import cli, extremal
 from multsub import multgroup as mg
 from multsub import partitions, pgroup, sieve
 from multsub.partitions import Partition, count_subpartitions
@@ -214,35 +214,41 @@ def test_primary_decomposition_matches_definition_table_free(n):
     check_primary_against_definition(n)
 
 
-def test_log_counts_match_definitional_products(table_10k):
+def test_subgroup_count_arrays_match_definitional_products(table_10k):
     t = table_10k
-    log_g, log_i = mg.log_counts(t, 10**4)
-    assert log_g.dtype == log_i.dtype == np.float64
-    assert len(log_g) == len(log_i) == 10**4 + 1
-    assert log_g[0] == log_i[0] == 0.0
+    g_arr, i_arr = mg.subgroup_count_arrays(t, 10**4)
+    assert g_arr.dtype == i_arr.dtype == np.int64
+    assert len(g_arr) == len(i_arr) == 10**4 + 1
+    assert g_arr[0] == i_arr[0] == 1
     for n in range(1, 10**4 + 1):
         g = i = 1
         for p, _ in mg.factorize(mg.euler_phi(n)):
             alpha = mg.sylow_partition(n, p)
             g *= subgroup_count(PGroupType(p, alpha))
             i *= count_subpartitions(alpha)
-        assert mg.subgroup_counts(n) == (g, i), n
-        assert (log_g[n], log_i[n]) == (math.log(g), math.log(i)), n
+        assert mg.subgroup_counts(n) == (g, i) == (g_arr[n], i_arr[n]), n
     with pytest.raises(ValueError):
-        mg.log_counts(t, 10**4 + 1)
+        mg.subgroup_count_arrays(t, 10**4 + 1)
 
 
-def test_log_counts_bit_for_bit_against_subgroup_counts(table_100k):
+def test_subgroup_count_arrays_exact_against_subgroup_counts(table_100k):
     t = table_100k
-    log_g, log_i = mg.log_counts(t, 10**5)
-    bad = [n for n in range(1, 10**5 + 1)
-           if (log_g[n], log_i[n]) != tuple(map(math.log, mg.subgroup_counts(n)))]
-    assert not bad, bad[:10]
+    counts = mg.subgroup_count_arrays(t, 10**5)
+    ref = [(1, 1)] + [mg.subgroup_counts(n) for n in range(1, 10**5 + 1)]
+    for which, got, want in zip("GI", counts, zip(*ref)):
+        assert got.tolist() == list(want)
+        # the logs, taken once per distinct count, are math.log of each count
+        logs = [math.log(c) for c in want]
+        assert mg.exact_logs(got).tolist() == logs
+        # the scan's argmax over the counts is the first argmax of the logs
+        best = max(logs[3:])
+        rec = extremal.scan_max(10**5, which, t)
+        assert (rec.n, rec.value) == (logs.index(best, 3), best), which
     # a shorter range changes which primes count as small, not the values
     for N in (*range(1, 40), 99, 100, 101, 1680, 10**4):
-        short_g, short_i = mg.log_counts(t, N)
-        assert np.array_equal(short_g, log_g[: N + 1]), N
-        assert np.array_equal(short_i, log_i[: N + 1]), N
+        short_g, short_i = mg.subgroup_count_arrays(t, N)
+        assert np.array_equal(short_g, counts[0][: N + 1]), N
+        assert np.array_equal(short_i, counts[1][: N + 1]), N
 
 
 def test_cyclic_only_primes_at_their_thresholds(table_100k):
@@ -251,7 +257,7 @@ def test_cyclic_only_primes_at_their_thresholds(table_100k):
     # p^2 q0 or q0 q1.  At N = t - 1 and N = t for each such size t, the arrays
     # are still the prefix of those at 1e5
     t, top = table_100k, 10**5
-    log_g, log_i = mg.log_counts(t, top)
+    g, i = mg.subgroup_count_arrays(t, top)
     primes = t.primes.tolist()
     for p in primes[1:17]:  # the odd p <= 60
         q0, q1 = [q for q in primes if q % p == 1][:2]
@@ -259,9 +265,17 @@ def test_cyclic_only_primes_at_their_thresholds(table_100k):
         for threshold in (p**3, p * p * q0, q0 * q1, q_square):
             for N in (threshold - 1, threshold):
                 if N <= top:
-                    short_g, short_i = mg.log_counts(t, N)
-                    assert np.array_equal(short_g, log_g[: N + 1]), (p, N)
-                    assert np.array_equal(short_i, log_i[: N + 1]), (p, N)
+                    short_g, short_i = mg.subgroup_count_arrays(t, N)
+                    assert np.array_equal(short_g, g[: N + 1]), (p, N)
+                    assert np.array_equal(short_i, i[: N + 1]), (p, N)
+
+
+@pytest.mark.parametrize("x", [np.array([7, 3, 7, 0, 3, 3]), np.arange(5, 0, -1, dtype=np.uint8)])
+def test_per_distinct_calls_f_once_per_distinct_value(x):
+    calls = []
+    text = mg.per_distinct(x, lambda v: calls.append(v) or str(v), object)
+    assert calls == sorted(set(x.tolist()))  # ascending, each once
+    assert text.tolist() == [str(v) for v in x.tolist()]
 
 
 def test_column_counts_count_subpartitions_of_every_sylow_shape():

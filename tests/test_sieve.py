@@ -82,14 +82,16 @@ def test_build_small_values():
     assert t.primes.tolist() == [2, 3, 5, 7]
 
 
-def test_build_validation():
+def test_build_validation(monkeypatch):
     with pytest.raises(ValueError):
         sieve.build(1)
-    with pytest.raises(sieve.MemoryBudgetError):
-        sieve.build(10**7, memory_budget=10**6)
-    # the int32 columns would overflow: refused before any allocation
+    # past the budget, and where the int32 columns would overflow: both
+    # refused before the prime sieve allocates anything
+    monkeypatch.setattr(sieve, "primes_up_to", lambda n: pytest.fail("allocated"))
+    with pytest.raises(sieve.MemoryBudgetError, match="table for N = 200000000 needs"):
+        sieve.build(2 * 10**8)
     with pytest.raises(ValueError, match=r"2\*\*31"):
-        sieve.build(2**31, memory_budget=2**40)
+        sieve.build(2**31)
 
 
 def test_table_matches_per_n_computation(table_10k):
