@@ -42,10 +42,8 @@ def main():
     args = parser.parse_args()
     xs = [int(float(s)) for s in args.xs.split(",")]
 
-    primes = sieve.primes_up_to(10**6)
-    c_est = constants.compute_C(constants.compute_A0(10**6, primes),
-                                constants.compute_B(10**6, primes))
-    print(f"variance constant C = {c_est.value:.6f} (tail {c_est.tail_bound:.1e})\n")
+    c = constants.NORMALIZATION[1]
+    print(f"variance constant C = {c:.6f} (primes up to {constants.NORMALIZATION_PRIME_LIMIT:,})\n")
 
     for x in xs:
         table = sieve.build(x)
@@ -55,7 +53,7 @@ def main():
               f"prime powers in quadratic part: "
               f"{[q for q, _ in ekstats.surrogate_prime_powers(x)] or 'none'}")
         for h in (1, 2, 3):
-            norm = ms[h] / (c_est.value ** (h / 2) * x * ll ** (3 * h / 2))
+            norm = ms[h] / (c ** (h / 2) * x * ll ** (3 * h / 2))
             print(f"  M_{h} = {ms[h]: .4e}   normalized = {norm: .4f}")
         for name, val in covariance_ratios(table, float(x)):
             print(f"  {name:<42s} = {val:.4f}")

@@ -3,7 +3,8 @@
 Subcommands: count, scan, distribution, moments, constants, verify, extremal.
 Output is deterministic for a fixed configuration: reductions use fixed chunk
 boundaries derived from the input size, so repeated runs are byte-identical.
-Exit codes: 0 success, 1 invariant or construction failure, 2 usage error or out of memory.
+Exit codes: 0 success, 1 invariant or construction failure, 2 usage error, out of
+memory or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -270,7 +271,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, MemoryError) as exc:  # numpy's _ArrayMemoryError is a MemoryError
+    # numpy's _ArrayMemoryError is a MemoryError; an OSError is an output that
+    # cannot be written, such as a missing directory or a closed pipe
+    except (ValueError, MemoryError, OSError) as exc:
         reason = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"{args.command}: {reason}{exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,7 +72,6 @@ def _g_exact(q: int, p: int) -> int:
     return len(multgroup.factorize(p - 1)) if q == OMEGA0 else int((p - 1) % q == 0)
 
 
-@lru_cache(maxsize=64)
 def _exact_mu(q: int, xi: int) -> Fraction:
     """The rational sum  sum_{p <= xi} g(p)/p,  accumulated in ascending p."""
     mu_sum = Fraction(0)
@@ -243,11 +241,6 @@ def surrogate_moments(hs: list[int], x: float, table: FunctionTable) -> dict[int
         den = max(d for _, d in ratios)
         moments[h] = sum(c * num * (den // d) for (num, d), c in zip(ratios, counts)) / den
     return moments
-
-
-def surrogate_moment(h: int, x: float, table: FunctionTable) -> float:
-    """M_h(x) = sum_{n <= x} (P_n(x) - D(x))^h."""
-    return surrogate_moments([h], x, table)[h]
 
 
 # ---------------------------------------------------------------------------

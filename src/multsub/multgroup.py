@@ -191,13 +191,13 @@ def lambda_p(n: int, p: int, fact: list[tuple[int, int]] | None = None) -> int:
     return max(own, best)
 
 
-def carmichael_lambda(n: int) -> int:
+def carmichael_lambda(n: int, fact: list[tuple[int, int]] | None = None) -> int:
     """Carmichael function lambda(n), computed directly from the definition
     (lcm of the exponents of the prime-power components)."""
     if n < 1:
         raise ValueError("n must be positive")
     out = 1
-    for p, e in factorize(n):
+    for p, e in factorize(n) if fact is None else fact:
         if p == 2:
             lam = 1 if e == 1 else (2 if e == 2 else 2 ** (e - 2))
         else:
@@ -265,10 +265,20 @@ def subgroup_counts(n: int, columns: dict[int, tuple[int, ...]] | None = None) -
     return math.prod(g for g, _ in counts), math.prod(i for _, i in counts)
 
 
-def definitional_counts(n: int) -> tuple[int, int]:
+def definitional_columns(n: int, fact: list[tuple[int, int]] | None = None) -> dict[int, tuple[int, ...]]:
+    """{p: (omega_bar_{p^1}(n), ..., omega_bar_{p^lambda}(n))}, primes ascending, for
+    each p | phi(n), from one factorization of n: the definitional twin of sylow_columns."""
+    if fact is None:
+        fact = factorize(n)
+    phi = math.prod(q ** (e - 1) * (q - 1) for q, e in fact)
+    return {p: _sylow_conjugate(n, p, fact) for p, _ in factorize(phi)}
+
+
+def definitional_counts(n: int, columns: dict[int, tuple[int, ...]] | None = None) -> tuple[int, int]:
     """(G(n), I(n)) by the definitions, a check on subgroup_counts: subgroup_count and
-    count_subpartitions of each alpha_p, p | phi(n), read off the omega_bar counts."""
-    alphas = [(p, sylow_partition(n, p)) for p, _ in factorize(euler_phi(n))]
+    count_subpartitions of each alpha_p, the conjugate of the omega_bar counts
+    (definitional_columns); pass the columns when at hand."""
+    alphas = [(p, Partition(conjugate_parts(a))) for p, a in (columns or definitional_columns(n)).items()]
     return (math.prod(subgroup_count(PGroupType(p, alpha)) for p, alpha in alphas),
             math.prod(count_subpartitions(alpha) for _, alpha in alphas))
 

@@ -43,29 +43,9 @@ class Partition:
         """The integer being partitioned."""
         return sum(self.parts)
 
-    def part(self, j: int) -> int:
-        """The j-th part, 1-indexed; parts beyond the end read as 0."""
-        if j < 1:
-            raise IndexError("parts are 1-indexed")
-        return self.parts[j - 1] if j <= len(self.parts) else 0
-
     def conjugate(self) -> "Partition":
         """Transpose of the Ferrers diagram: result[j] = #{i : parts[i] >= j}."""
         return Partition(conjugate_parts(self.parts))
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
-
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        """Inverse of str(): "[3,1,1]" -> Partition((3, 1, 1)); "[]" -> Partition()."""
-        t = text.strip()
-        if not (t.startswith("[") and t.endswith("]")):
-            raise ValueError(f"not a partition literal: {text!r}")
-        body = t[1:-1].strip()
-        if not body:
-            return cls()
-        return cls(tuple(int(tok) for tok in body.split(",")))
 
 
 def conjugate_parts(parts: Sequence[int]) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ import pytest
 from multsub import calibration, constants, ekstats, extremal, multgroup, polyops, sieve
 from multsub.cli import run as cli_run
 from multsub.ekstats import OMEGA0
-from multsub.pgroup import PGroupType, gaussian_binomial, subgroup_count
+from multsub.pgroup import gaussian_binomial
 
 LOG2 = math.log(2)
 
@@ -37,71 +37,8 @@ def _c_at_10m(table_10m) -> constants.ConstantEstimate:
 
 
 @pytest.fixture(scope="session")
-def table_1m():
-    return sieve.build(10**6)
-
-
-@pytest.fixture(scope="session")
 def table_10m():
     return sieve.build(10**7)
-
-
-@pytest.fixture(scope="session")
-def bulk_100k(table_100k):
-    """One structure pass over 2 <= n <= 10^5 feeding criteria 2 and 3 and
-    the same-range module invariants."""
-    from multsub.partitions import count_subpartitions
-
-    t = table_100k
-    out = {
-        "n_checked": 0,
-        "phi_identity_failures": [],
-        "i_bound_failures": [],
-        "i_le_g_failures": [],
-        "single_power_failures": [],
-        "lambda_failures": [],
-        "lambda_bound_failures": [],
-        "g8": None,
-    }
-    for n in range(1, 10**5 + 1):
-        fact = multgroup.factorize(n)
-        dec = multgroup.sylow_decomposition(n, fact)
-        phi = int(t.phi[n]) if n >= 2 else 1
-        prod = 1
-        g_val = 1
-        i_val = 1
-        lam = multgroup.carmichael_lambda(n)
-        for p, alpha in dec.items():
-            prod *= p**alpha.size
-            np_count = subgroup_count(PGroupType(p, alpha))
-            g_val *= np_count
-            i_val *= count_subpartitions(alpha)
-            if alpha.size == 1 and np_count != 2:
-                out["single_power_failures"].append((n, p))
-            e = 0
-            m = lam
-            while m % p == 0:
-                m //= p
-                e += 1
-            lam_p = multgroup.lambda_p(n, p, fact)
-            if lam_p != e:
-                out["lambda_failures"].append((n, p))
-            nu = next((ex for q, ex in fact if q == p), 0)
-            wsum = sum(multgroup.omega_q(n, p**j, fact) for j in range(1, lam_p + 1))
-            if lam_p > max(nu, wsum):
-                out["lambda_bound_failures"].append((n, p))
-        if prod != phi:
-            out["phi_identity_failures"].append(n)
-        if n >= 2:
-            w, big_w = int(t.omega_phi[n]), int(t.bigomega_phi[n])
-            if not 2**w <= i_val <= 2**big_w:
-                out["i_bound_failures"].append(n)
-        if i_val > g_val:
-            out["i_le_g_failures"].append(n)
-        if n == 8:
-            out["g8"] = g_val
-        out["n_checked"] += 1
-    return out
 
 
 def test_criterion_01_oracle_equivalence():
@@ -129,30 +66,29 @@ def test_criterion_01_oracle_equivalence():
     assert ok, mismatches[:5]
 
 
-def test_criterion_02_structural_identity(bulk_100k):
-    bad = bulk_100k["phi_identity_failures"]
+def test_criterion_02_structural_identity(per_n_100k):
+    bad = per_n_100k["failures"]["phi_identity"]
     ok = report("02", "prod_p p^(sum_j omega_bar) = phi(n) for n <= 10^5",
                 not bad, f"{len(bad)} failures")
     assert ok, bad[:5]
-    assert bulk_100k["g8"] == 5
+    assert per_n_100k["G"][8] == 5
 
 
-def test_criterion_03_isoclass_bounds(bulk_100k):
-    bad = bulk_100k["i_bound_failures"]
+def test_criterion_03_isoclass_bounds(per_n_100k):
+    bad = per_n_100k["failures"]["i_bound"]
     ok = report("03", "2^omega(phi(n)) <= I(n) <= 2^Omega(phi(n)) for n <= 10^5",
                 not bad, f"{len(bad)} failures")
     assert ok, bad[:5]
 
 
-def test_bulk_structure_invariants(bulk_100k):
+def test_bulk_structure_invariants(per_n_100k):
     # same-range invariants: I <= G, single-power Sylow components have
     # exactly two subgroups, and the closed-form Carmichael exponents agree
     # with the direct computation
-    assert bulk_100k["i_le_g_failures"] == []
-    assert bulk_100k["single_power_failures"] == []
-    assert bulk_100k["lambda_failures"] == []
-    assert bulk_100k["lambda_bound_failures"] == []
-    assert bulk_100k["n_checked"] == 10**5
+    bad = per_n_100k["failures"]
+    for check in ("i_le_g", "single_power", "lambda", "lambda_bound"):
+        assert bad[check] == [], (check, bad[check][:5])
+    assert len(per_n_100k["G"]) == 10**5 + 1  # n = 0 and every n <= 10^5
 
 
 def test_criterion_04_gaussian_binomial_bound():
@@ -203,8 +139,9 @@ def test_criterion_06_exact_mean_oscillation_identity():
     for q in (2, 3, 4, 5, 7):
         m = ekstats.mu(q, x, exact=True)
         assert isinstance(m, Fraction)
-        for n in range(1, x + 1):
-            if m + ekstats.oscillation(q, n, x, exact=True) != multgroup.omega_q(n, q):
+        ns = range(1, x + 1)
+        for n, f in zip(ns, ekstats.oscillation(q, ns, x, exact=True)):
+            if m + f != multgroup.omega_q(n, q):
                 bad.append((q, n))
     ok = report("06", "mu + F = omega_q exactly in rationals (x = 2000, q in {2,3,4,5,7})",
                 not bad, f"{len(bad)} failures over {5 * x} cases")
@@ -286,7 +223,7 @@ def test_criterion_08a_moments_produced(table_100k, table_1m, table_10m):
 def test_criterion_08b_second_moment_scale(table_10m):
     x = 10**7
     c = _c_at_10m(table_10m).value
-    m2 = ekstats.surrogate_moment(2, float(x), table_10m)
+    m2 = ekstats.surrogate_moments([2], float(x), table_10m)[2]
     norm = m2 / (c * x * math.log(math.log(x)) ** 3)
     ok = report("08b", "normalized M_2 at x = 10^7 is positive and within 10x of 1",
                 norm > 0 and 0.1 <= norm <= 10, f"normalized = {norm:.4f}")

@@ -67,6 +67,15 @@ def test_out_of_memory_is_one_stderr_line(capsys, monkeypatch, argv):
     assert err == f"{argv[0]}: out of memory: Unable to allocate 763. MiB for an array\n"
 
 
+@pytest.mark.parametrize("argv", [["count", "8", "--out"], ["distribution", "--x", "200", "--samples-csv"]])
+def test_unwritable_output_is_one_stderr_line(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    assert run([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_scan_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

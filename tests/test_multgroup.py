@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from itertools import product
 
@@ -12,7 +13,9 @@ from multsub import cli, extremal
 from multsub import multgroup as mg
 from multsub import partitions, pgroup, sieve
 from multsub.partitions import Partition, count_subpartitions
-from multsub.pgroup import PGroupType, column_counts, subgroup_count
+from multsub.pgroup import column_counts
+
+from conftest import primary_matches_definition
 
 
 def factorize_naive(n):
@@ -192,20 +195,15 @@ def test_sylow_partition_examples():
 
 def check_primary_against_definition(n):
     """The primary decomposition has a component for exactly the primes
-    p | phi(n), each equal to the conjugate of the omega_bar vector."""
+    p | phi(n), in order, each equal to the conjugate of the omega_bar vector."""
     fact = mg.factorize(n)
-    dec = mg.sylow_decomposition(n, fact)
-    phi_primes = [p for p, _ in mg.factorize(mg.euler_phi(n))]
-    assert list(dec) == phi_primes, n
-    for p, alpha in dec.items():
-        assert alpha == Partition(mg._sylow_conjugate(n, p, fact)).conjugate(), (n, p)
-    # the per-n path's columns are the omega_bar vectors themselves
-    assert mg.sylow_columns(n) == {p: mg._sylow_conjugate(n, p, fact) for p in dec}, n
+    assert primary_matches_definition(mg.sylow_columns(n, fact), mg.definitional_columns(n, fact),
+                                      mg.sylow_decomposition(n, fact)), n
 
 
-def test_primary_decomposition_matches_definition():
-    for n in range(1, 10**5 + 1):
-        check_primary_against_definition(n)
+def test_primary_decomposition_matches_definition(per_n_100k):
+    bad = per_n_100k["failures"]["structure"]
+    assert not bad, bad[:10]
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,29 +212,26 @@ def test_primary_decomposition_matches_definition_table_free(n):
     check_primary_against_definition(n)
 
 
-def test_subgroup_count_arrays_match_definitional_products(table_10k):
-    t = table_10k
-    g_arr, i_arr = mg.subgroup_count_arrays(t, 10**4)
+def test_subgroup_count_arrays_match_definitional_products(table_100k, per_n_100k):
+    # definitional_counts equals subgroup_counts at every n <= 1e5, and the
+    # arrays equal both
+    bad = per_n_100k["failures"]["definitional"]
+    assert not bad, bad[:10]
+    g_arr, i_arr = mg.subgroup_count_arrays(table_100k, 10**5)
     assert g_arr.dtype == i_arr.dtype == np.int64
-    assert len(g_arr) == len(i_arr) == 10**4 + 1
+    assert len(g_arr) == len(i_arr) == 10**5 + 1
     assert g_arr[0] == i_arr[0] == 1
-    for n in range(1, 10**4 + 1):
-        g = i = 1
-        for p, _ in mg.factorize(mg.euler_phi(n)):
-            alpha = mg.sylow_partition(n, p)
-            g *= subgroup_count(PGroupType(p, alpha))
-            i *= count_subpartitions(alpha)
-        assert mg.subgroup_counts(n) == (g, i) == (g_arr[n], i_arr[n]), n
+    assert g_arr.tolist() == per_n_100k["G"] and i_arr.tolist() == per_n_100k["I"]
     with pytest.raises(ValueError):
-        mg.subgroup_count_arrays(t, 10**4 + 1)
+        mg.subgroup_count_arrays(table_100k, 10**5 + 1)
 
 
-def test_subgroup_count_arrays_exact_against_subgroup_counts(table_100k):
+def test_subgroup_count_arrays_exact_against_subgroup_counts(table_100k, per_n_100k):
     t = table_100k
     counts = mg.subgroup_count_arrays(t, 10**5)
-    ref = [(1, 1)] + [mg.subgroup_counts(n) for n in range(1, 10**5 + 1)]
-    for which, got, want in zip("GI", counts, zip(*ref)):
-        assert got.tolist() == list(want)
+    for which, got in zip("GI", counts):
+        want = per_n_100k[which]  # subgroup_counts(n), with (1, 1) at n = 0
+        assert got.tolist() == want
         # the logs, taken once per distinct count, are math.log of each count
         logs = [math.log(c) for c in want]
         assert mg.exact_logs(got).tolist() == logs
@@ -249,6 +244,16 @@ def test_subgroup_count_arrays_exact_against_subgroup_counts(table_100k):
         short_g, short_i = mg.subgroup_count_arrays(t, N)
         assert np.array_equal(short_g, counts[0][: N + 1]), N
         assert np.array_equal(short_i, counts[1][: N + 1]), N
+
+
+def test_subgroup_count_arrays_sampled_against_subgroup_counts_at_1e6(table_1m):
+    # past the whole-range check at 1e5: a fixed-seed sample of 3,000 n, n = 1e6
+    # and the n where each array peaks
+    N = 10**6
+    g, i = mg.subgroup_count_arrays(table_1m, N)
+    ns = {*random.Random(20261020).sample(range(1, N + 1), 3000), N, int(g.argmax()), int(i.argmax())}
+    bad = [n for n in sorted(ns) if mg.subgroup_counts(n) != (int(g[n]), int(i[n]))]
+    assert not bad, bad[:10]
 
 
 def test_cyclic_only_primes_at_their_thresholds(table_100k):
@@ -278,10 +283,10 @@ def test_per_distinct_calls_f_once_per_distinct_value(x):
     assert text.tolist() == [str(v) for v in x.tolist()]
 
 
-def test_column_counts_count_subpartitions_of_every_sylow_shape():
+def test_column_counts_count_subpartitions_of_every_sylow_shape(per_n_100k):
     # I(n) on the per-n path comes from the unit-weight column sweep alone;
     # check it on every distinct Sylow shape of n <= 1e5 against the DP count
-    shapes = {a for n in range(1, 10**5 + 1) for a in mg.sylow_columns(n).values()}
+    shapes = per_n_100k["shapes"]
     assert len(shapes) > 100
     for a in shapes:
         assert column_counts(a, 2)[1] == count_subpartitions(Partition(a).conjugate()), a

@@ -51,19 +51,6 @@ def test_validation():
     with pytest.raises(ValueError):
         Partition((2, 0))
     assert Partition().size == 0
-    assert Partition((4, 2)).part(1) == 4
-    assert Partition((4, 2)).part(5) == 0
-    with pytest.raises(IndexError):
-        Partition((4, 2)).part(0)
-
-
-def test_serialization_round_trip():
-    assert str(Partition((3, 1, 1))) == "[3,1,1]"
-    assert str(Partition()) == "[]"
-    assert Partition.parse("[3,1,1]") == Partition((3, 1, 1))
-    assert Partition.parse("[]") == Partition()
-    with pytest.raises(ValueError):
-        Partition.parse("3,1")
 
 
 def test_subpartition_examples():
