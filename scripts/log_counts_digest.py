@@ -14,18 +14,18 @@ import hashlib
 import resource
 import time
 
-from multsub import multgroup, sieve
+from multsub import cli, multgroup, sieve
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("N", type=lambda s: int(float(s)))
     N = parser.parse_args().N
+    print(f"N {N}")
     table = sieve.build(N)
     start = time.process_time()
     log_g, log_i = map(multgroup.exact_logs, multgroup.subgroup_count_arrays(table, N))
     cpu = time.process_time() - start
-    print(f"N {N}")
     print(f"logG_sha256 {hashlib.sha256(log_g.tobytes()).hexdigest()}")
     print(f"logI_sha256 {hashlib.sha256(log_i.tobytes()).hexdigest()}")
     print(f"cpu_s {cpu:.3f}")
@@ -33,4 +33,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    cli.run_script("log_counts_digest", main)

@@ -13,7 +13,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from multsub import constants, ekstats, multgroup, sieve  # noqa: E402
+from multsub import cli, constants, ekstats, multgroup, sieve  # noqa: E402
 from multsub.ekstats import OMEGA0  # noqa: E402
 
 
@@ -48,7 +48,7 @@ def main():
     for x in xs:
         table = sieve.build(x)
         ll = math.log(math.log(x))
-        ms = ekstats.surrogate_moments([1, 2, 3], float(x), table)
+        ms = ekstats.surrogate_moments([1, 2, 3], float(x))
         print(f"x = {x:.0e}: cutoff X = {ekstats.q_cutoff(x):.3f}, "
               f"prime powers in quadratic part: "
               f"{[q for q, _ in ekstats.surrogate_prime_powers(x)] or 'none'}")
@@ -69,4 +69,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    cli.run_script("trend_report", main)

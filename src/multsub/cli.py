@@ -10,8 +10,10 @@ memory or an output that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import permutations
@@ -20,11 +22,21 @@ from . import constants as constants_mod
 from . import ekstats, extremal, multgroup, partitions, polyops, sieve
 
 
-def _emit(text: str, path: str | None) -> None:
+_ROW_BLOCK = 1 << 16  # scan formats and writes this many rows at a time
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The stream for path: stdout for None or "-", else the file, opened here."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", newline="") as stream:
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as stream:
+            yield stream
+
+
+def _emit(text: str, path: str | None) -> None:
+    with _output(path) as stream:
         stream.write(text)
 
 
@@ -56,11 +68,15 @@ def cmd_scan(args) -> int:
     table = sieve.build(n_max)
     g, i = multgroup.subgroup_count_arrays(table, n_max)
     log6 = lambda count: f"{math.log(count):.6f}"
-    fields = [map(str, range(2, n_max + 1)), map(str, table.phi[2:].tolist())]
-    for col, fmt in ((table.omega_phi, str), (table.bigomega_phi, str), (g, log6), (i, log6)):
-        fields.append(multgroup.per_distinct(col[2:], fmt, object).tolist())  # each value formatted once
-    rows = "\n".join(map(",".join, zip(*fields)))
-    _emit(f"n,phi,omega_phi,bigomega_phi,logG,logI\n{rows}\n", args.out)
+    columns = [multgroup.per_distinct(col, fmt, object)  # each value formatted once
+               for col, fmt in ((table.omega_phi, str), (table.bigomega_phi, str), (g, log6), (i, log6))]
+    with _output(args.out) as stream:
+        stream.write("n,phi,omega_phi,bigomega_phi,logG,logI\n")
+        for lo in range(2, n_max + 1, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, n_max + 1)
+            fields = [map(str, range(lo, hi)), map(str, table.phi[lo:hi].tolist())]
+            fields += [col[lo:hi].tolist() for col in columns]
+            stream.write("\n".join(map(",".join, zip(*fields))) + "\n")
     return 0
 
 
@@ -69,11 +85,14 @@ def cmd_distribution(args) -> int:
     report, samples = ekstats.distribution_report(
         args.x, args.which, table, return_samples=True
     )
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
-    if args.samples_csv:
-        rows = ["n,normalized"]
-        rows.extend(f"{n},{float(s)!r}" for n, s in zip(range(16, args.x + 1), samples))
-        _emit("\n".join(rows) + "\n", args.samples_csv)
+    # both outputs are opened before either is written: an unwritable one leaves no report
+    with (_output(args.out) as out,
+          _output(args.samples_csv) if args.samples_csv else contextlib.nullcontext() as rows_out):
+        out.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        if rows_out is not None:
+            rows = ["n,normalized"]
+            rows.extend(f"{n},{float(s)!r}" for n, s in zip(range(16, args.x + 1), samples))
+            rows_out.write("\n".join(rows) + "\n")
     return 0
 
 
@@ -81,9 +100,8 @@ def cmd_moments(args) -> int:
     if args.h_max < 1 or args.h_max > 8:
         print("moments: --h-max must be in 1..8", file=sys.stderr)
         return 2
-    table = sieve.build(args.x)
     hs = list(range(1, args.h_max + 1))
-    ms = ekstats.surrogate_moments(hs, args.x, table)
+    ms = ekstats.surrogate_moments(hs, args.x)
     c = constants_mod.NORMALIZATION[1]
     ll3 = math.log(math.log(args.x)) ** 3
     rows = ["h,x,M_h,normalized"]
@@ -281,3 +299,16 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+def run_script(name: str, script_main) -> None:
+    """Run a script's main.  A stdout that its reader closed early (`| head`)
+    ends the script with one stderr line and exit 2, as `run` reports it,
+    instead of a traceback."""
+    try:
+        script_main()
+        sys.stdout.flush()  # a pipe closed before the last writes fails here, not at exit
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # leaves the exit flush nothing to fail on
+        print(f"{name}: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -13,8 +13,9 @@ B is evaluated two ways: from the power-series derivation (authoritative
 here) and from the degree-7 closed-form term whose numerator reads
 p^4 - p^3 - p^2 - p - 1; the variant with the numerator's -p^3 duplicated
 in place of -p^2 is kept for discrepancy reporting.  Every per-prime term is
-a float64 array function summed once with math.fsum (the tests pin the sums
-bit for bit).  Truncation tails are bounded by integral comparison.
+a float64 array function, evaluated on chunks of primes and summed once with
+math.fsum (the tests pin the sums bit for bit).  Truncation tails are bounded
+by integral comparison.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from . import multgroup
 from .sieve import prime_power_list, primes_up_to
 
 LOG2 = math.log(2)
+_TERM_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,16 @@ class ConstantEstimate:
 def _as_primes(prime_limit: int, primes: np.ndarray | None) -> np.ndarray:
     if primes is None:
         return primes_up_to(prime_limit)
-    return primes[primes <= prime_limit]
+    return primes[: np.searchsorted(primes, prime_limit, side="right")]
+
+
+def _term_sum(term, primes: np.ndarray) -> float:
+    """math.fsum of term over the primes, in ascending order.  The term is
+    evaluated on float64 chunks of _TERM_CHUNK primes, and each chunk's values
+    are fed to the one fsum as they come: the values and their order are
+    those of term over all the primes at once, so the sum is too, bit for bit."""
+    chunks = (primes[i : i + _TERM_CHUNK].astype(np.float64) for i in range(0, len(primes), _TERM_CHUNK))
+    return math.fsum(chain.from_iterable(term(c).tolist() for c in chunks))
 
 
 def a0_term(p):
@@ -53,8 +66,7 @@ def compute_A0(prime_limit: int, primes: np.ndarray | None = None) -> ConstantEs
     """A0 truncated at prime_limit, with an integral-comparison tail bound."""
     if prime_limit < 100:
         raise ValueError("prime_limit must be at least 100")
-    ps = _as_primes(prime_limit, primes).astype(np.float64)
-    value = math.fsum(a0_term(ps).tolist())
+    value = _term_sum(a0_term, _as_primes(prime_limit, primes))
     # term(t) <= 0.25 (1 - 1/P)^(-3) log t / t^2  for t >= P, and the terms
     # decrease, so the prime tail is below the integral over t > P.
     fudge = (1 - 1 / prime_limit) ** -3
@@ -85,19 +97,9 @@ def b_term_closed(p, corrected: bool = True):
     corrected=False keeps the duplicated -p^3 in its place (p^4 - 2p^3 - p - 1),
     for discrepancy reporting."""
     p = np.asarray(p, dtype=np.float64)
-    return _closed_term(p, _closed_factors(p), corrected)
-
-
-def _closed_factors(p: np.ndarray) -> tuple:
-    """What both closed forms share: p^3, p^4, p^3/4, (log p)^2 and the denominator."""
-    p3 = p**3
-    return p3, p**4, 0.25 * p3, np.log(p) ** 2, (p - 1) ** 6 * (p + 1) ** 2 * (p * p + p + 1)
-
-
-def _closed_term(p: np.ndarray, factors: tuple, corrected: bool) -> np.ndarray:
-    p3, p4, quarter_p3, lp2, den = factors
+    p3, p4 = p**3, p**4
     num = p4 - p3 - p**2 - p - 1 if corrected else p4 - 2 * p3 - p - 1
-    return quarter_p3 * num * lp2 / den
+    return 0.25 * p3 * num * np.log(p) ** 2 / ((p - 1) ** 6 * (p + 1) ** 2 * (p * p + p + 1))
 
 
 def b_term_series_exact(p: int) -> Fraction:
@@ -120,19 +122,17 @@ def compute_B(prime_limit: int, primes: np.ndarray | None = None) -> ConstantEst
     """B truncated at prime_limit, from the series form."""
     if prime_limit < 100:
         raise ValueError("prime_limit must be at least 100")
-    ps = _as_primes(prime_limit, primes).astype(np.float64)
-    value = math.fsum(b_term_series(ps).tolist())
+    value = _term_sum(b_term_series, _as_primes(prime_limit, primes))
     return ConstantEstimate(value, prime_limit, _b_tail(prime_limit))
 
 
 def compute_B_report(b: ConstantEstimate, primes: np.ndarray | None = None) -> dict:
     """The series estimate b against both closed forms, each one fsum of float64
     array terms over the same primes, plus per-prime and aggregate discrepancies."""
-    ps = _as_primes(b.prime_limit, primes).astype(np.float64)
-    factors = _closed_factors(ps)
-    closed = math.fsum(_closed_term(ps, factors, True).tolist())
-    uncorrected = math.fsum(_closed_term(ps, factors, False).tolist())
-    head = ps[:2000]
+    ps = _as_primes(b.prime_limit, primes)
+    closed = _term_sum(b_term_closed, ps)
+    uncorrected = _term_sum(partial(b_term_closed, corrected=False), ps)
+    head = ps[:2000].astype(np.float64)
     per_prime = float(np.max(np.abs(b_term_series(head) - b_term_closed(head))))
     return {
         "B_series": b.value,

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import constants, multgroup
-from .sieve import FunctionTable, omega_q_table, prime_power_list, primes_up_to
+from .sieve import (DEFAULT_MEMORY_BUDGET, FunctionTable, MemoryBudgetError, additive_block,
+                    phi_blocks, prime_power_list, primes_up_to)
 
 LOG2 = math.log(2)
 OMEGA0 = 0  # function id for omega(phi(n))
@@ -87,14 +88,38 @@ def _g_values(q: int, ps: np.ndarray, table: FunctionTable) -> np.ndarray:
     return g.astype(np.float64)
 
 
-def _float_state(q: int, x: float, table: FunctionTable):
-    """The primes p <= x (for q != 0 only those with g(p) = 1), their g
-    values and their reciprocals."""
-    ps = table.primes[table.primes <= x]
-    g = _g_values(q, ps, table)
-    if q != OMEGA0:  # keep only the residue class, where g = 1
-        ps, g = ps[g != 0], g[g != 0]
+def _float_state(q: int, ps: np.ndarray, omega_pm1: np.ndarray | None):
+    """The primes of ps (for q != 0 only those with g(p) = 1), their g values
+    and their reciprocals; omega_pm1 holds omega(p - 1) at ps, read for q = 0."""
+    if q == OMEGA0:
+        g = omega_pm1.astype(np.float64)
+    else:  # keep only the residue class, where g = 1
+        ps = ps[(ps - 1) % q == 0]
+        g = np.ones(len(ps))
     return ps, g, 1.0 / ps.astype(np.float64)
+
+
+def _prime_mean(q: int, ps: np.ndarray, omega_pm1: np.ndarray | None) -> float:
+    """sum g(p)/p over the primes ps, ascending, as chunked_sum adds the terms:
+    one partial per _CHUNK of the primes that enter (for q != 0, those of the
+    residue class), built one chunk at a time."""
+    if q != OMEGA0:  # the chunks are of the class, so _float_state keeps every prime
+        ps = ps[(ps - 1) % q == 0]
+    partials = []
+    for i in range(0, len(ps), _CHUNK):
+        _, g, invp = _float_state(q, ps[i : i + _CHUNK],
+                                  None if omega_pm1 is None else omega_pm1[i : i + _CHUNK])
+        partials.append(float((g * invp).sum()))
+    return math.fsum(partials)
+
+
+def _table_primes(q: int, x: float, table: FunctionTable | None):
+    """The primes p <= x of a table covering x, and omega(p - 1) at them where
+    q = 0 reads it."""
+    if table is None or table.N < x:
+        raise ValueError("float mode needs a FunctionTable covering x")
+    ps = table.primes[table.primes <= x]
+    return ps, table.omega_phi[ps] if q == OMEGA0 else None
 
 
 def mu(q: int, x: float, table: FunctionTable | None = None, exact: bool = False):
@@ -105,10 +130,7 @@ def mu(q: int, x: float, table: FunctionTable | None = None, exact: bool = False
         raise ValueError("x must be at least 2")
     if exact:
         return _exact_mu(q, int(x))
-    if table is None or table.N < x:
-        raise ValueError("float mode needs a FunctionTable covering x")
-    _, g, invp = _float_state(q, x, table)
-    return chunked_sum(g * invp)
+    return _prime_mean(q, *_table_primes(q, x, table))
 
 
 def f_p(p: int, a: int) -> Fraction:
@@ -140,9 +162,7 @@ def oscillation(q: int, a, x: float, table: FunctionTable | None = None,
         out = [sum(_g_exact(q, p) for p, _ in multgroup.factorize(b) if p <= x) - mu_x
                for b in values]
     else:
-        if table is None or table.N < x:
-            raise ValueError("float mode needs a FunctionTable covering x")
-        pi, g, invp = _float_state(q, x, table)
+        pi, g, invp = _float_state(q, *_table_primes(q, x, table))
         out = [chunked_sum(g * ((b % pi == 0).astype(np.float64) - invp)) for b in values]
     return out if many else out[0]
 
@@ -192,46 +212,85 @@ def log_g_surrogate(n: int, x: float) -> float:
     return total
 
 
-def surrogate_mean(x: float, table: FunctionTable) -> float:
-    """The surrogate with every function replaced by its prime-harmonic mean:
-    log2 * mu(omega(phi)) + (1/4) sum mu(omega_q)^2 Lambda(q)."""
-    total = LOG2 * mu(OMEGA0, x, table)
+def _surrogate_mean(x: float, ps: np.ndarray, omega_pm1: np.ndarray) -> float:
+    """surrogate_mean from the primes ps <= x and omega(p - 1) at them."""
+    total = LOG2 * _prime_mean(OMEGA0, ps, omega_pm1)
     for q, logp in surrogate_prime_powers(x):
-        m = mu(q, x, table)
+        m = _prime_mean(q, ps, None)
         total += 0.25 * logp * m * m
     return total
 
 
-def surrogate_moments(hs: list[int], x: float, table: FunctionTable) -> dict[int, float]:
+def surrogate_mean(x: float, table: FunctionTable) -> float:
+    """The surrogate with every function replaced by its prime-harmonic mean:
+    log2 * mu(omega(phi)) + (1/4) sum mu(omega_q)^2 Lambda(q)."""
+    return _surrogate_mean(x, *_table_primes(OMEGA0, x, table))
+
+
+def _radix(q: int, primes: np.ndarray, x: int) -> int:
+    """1 + the largest value the function tagged q takes at n <= x.  Both
+    omega(phi(n)) and omega_q(n) count distinct primes of one m <= x (those
+    p = 1 mod q for q != 0), so neither exceeds the number of the smallest
+    such primes whose product stays <= x."""
+    k, prod = 0, 1
+    for p in map(int, primes):
+        if q == OMEGA0 or (p - 1) % q == 0:
+            prod *= p
+            if prod > x:
+                break
+            k += 1
+    return k + 1
+
+
+def moments_bytes(x: int) -> int:
+    """An upper estimate of what surrogate_moments holds at x: omega over
+    [0, x] (1 byte per n), the primes up to x and their sieve (under 1 byte
+    per n), and 64 MB for the blocks and the chunks of the mean."""
+    return 2 * (x + 1) + (64 << 20)
+
+
+def surrogate_moments(hs: list[int], x: float) -> dict[int, float]:
     """Centered moment sums M_h = sum_{n <= x} (P_n - D)^h for each h in hs.
 
     P_n depends on n only through its row (omega(phi(n)), omega_q(n) for each
-    surrogate q), keyed here in mixed radix.  The n of each distinct row are
-    counted, and each M_h is the exactly rounded sum of count * (P - D)^h over
-    the rows: equal to math.fsum of the per-n values, bit for bit."""
+    surrogate q), keyed here in mixed radix.  The rows come from phi_blocks
+    one block of n at a time: omega over the block is sieved first and kept,
+    then gathered at phi(n) < n, which is already filled.  Only omega is held
+    over all of [0, x].  The n of each distinct row are counted, and each M_h
+    is the exactly rounded sum of count * (P - D)^h over the rows: equal to
+    math.fsum of the per-n values, bit for bit."""
     for h in hs:
         if not 1 <= h <= 8:
             raise ValueError("h must be between 1 and 8")
     xi = int(x)
-    if table.N < xi:
-        raise ValueError("table must cover x")
+    if (need := moments_bytes(xi)) > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetError(f"x = {xi} needs about {need} bytes, budget {DEFAULT_MEMORY_BUDGET}")
     qs = surrogate_prime_powers(x)
-    key = table.omega_phi[1 : xi + 1]  # a view: no per-n copy while qs is empty
-    radices = [int(key.max()) + 1]
-    for q, _ in qs:
-        wq = omega_q_table(table, q, xi)[1:]
-        radices.append(int(wq.max()) + 1)
-        key = key.astype(np.min_scalar_type(math.prod(radices) - 1)) * radices[-1] + wq
+    primes = primes_up_to(xi)
+    small = primes[: np.searchsorted(primes, math.isqrt(xi), side="right")].tolist()
+    radices = [_radix(q, primes, xi) for q in [OMEGA0] + [q for q, _ in qs]]
+    dtype = np.min_scalar_type(math.prod(radices) - 1)
+    omega = np.empty(xi + 1, dtype=np.uint8)
     counts = np.zeros(math.prod(radices), dtype=np.int64)
-    for i in range(0, xi, _COUNT_SLICE):  # bincount copies its input to intp
-        counts += np.bincount(key[i : i + _COUNT_SLICE], minlength=len(counts))
+    for lo, phi, large in phi_blocks(xi, small):
+        omega[lo : lo + len(phi)] = additive_block(lambda p, nu: 1, lo, large, small)
+        key = omega[phi].astype(dtype, copy=False)
+        for (q, _), radix in zip(qs, radices[1:]):
+            key *= radix
+            key += additive_block(lambda p, nu, q=q: (p - 1) % q == 0, lo, large, small)
+        key = key[1:] if lo == 0 else key  # n = 0 is no row
+        for i in range(0, len(key), _COUNT_SLICE):  # bincount copies its input to intp
+            counts += np.bincount(key[i : i + _COUNT_SLICE], minlength=len(counts))
+    # by chunks: primes - 1 at once would be an int64 copy of every prime
+    omega_pm1 = np.concatenate([omega[primes[i : i + _CHUNK] - 1] for i in range(0, len(primes), _CHUNK)])
+    del omega
     keys = np.flatnonzero(counts)  # the distinct rows, ascending
     omega_phi, *digits = np.unravel_index(keys, radices)
     pn = LOG2 * omega_phi.astype(np.float64)
     for (_, logp), w in zip(qs, digits):
         wq = w.astype(np.float64)
         pn += 0.25 * logp * wq * wq
-    centered = pn - surrogate_mean(x, table)
+    centered = pn - _surrogate_mean(x, primes, omega_pm1)
     counts = counts[keys].tolist()
     moments = {}
     for h in hs:

@@ -147,7 +147,7 @@ def _i_cap(table: FunctionTable, N: int) -> np.ndarray:
     """pi sqrt(2/3) * sum over p | phi(n) of sqrt(nu_p(phi(n))), for 0 <= n <= N
     (0 where phi(n) = 1): an additive function of m = phi(n) <= N, sieved over
     m with the terms added in ascending p."""
-    return PI_SQRT_2_3 * table.additive(lambda p, nu: np.sqrt(nu, dtype=np.float64), N,
+    return PI_SQRT_2_3 * table.additive(lambda p, nu: np.sqrt(nu(), dtype=np.float64), N,
                                         np.float64)[table.phi[: N + 1]]
 
 

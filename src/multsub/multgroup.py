@@ -492,13 +492,17 @@ def closure_subgroup_enumeration(elements, mul, identity,
     and at each step joins g_i for the smallest i in S(K) not yet in S(H).
     Its indices increase, and its prefixes are the canonical chains of their
     own subgroups.  The search extends H, reached along its chain with last
-    index `last`, by g_i only when (1) i > last, (2) g_i^p is in H and (3) no
-    g_j outside H with j < i lies in K = H v <g_i>.  Rules 1 and 3 say that
-    H's chain followed by i is K's canonical chain, so K is reached from one
-    parent only.  Each canonical chain meets rules 1 and 3 by construction,
-    and rule 2 because <g_i^p> is trivial or generated by some g_j of smaller
-    order, so j < i lies in S(K) and already in S(H).  Rule 2 only prunes:
-    it makes K exactly p cosets of H.
+    index `last`, by g_i only when (1) i > last, (2) g_i^p is in H and (3) the
+    least index outside S(H) in S(K), K = H v <g_i>, is i.  Rules 1 and 3 say
+    that H's chain followed by i is K's canonical chain, so K is reached from
+    one parent only.  Each canonical chain meets rules 1 and 3 by
+    construction, and rule 2 because <g_i^p> is trivial or generated by some
+    g_j of smaller order, so j < i lies in S(K) and already in S(H).  Rule 2
+    makes K exactly p cosets of H.  A candidate i outside S(H) that lies in a
+    K' already built above H therefore has H v <g_i> = K' (inside it and of
+    the same order), and fails rule 3, as K' came from a smaller index; it is
+    skipped without a closure.  Each subgroup is still accepted once, so the
+    cap refuses exactly when the subgroups outnumber it.
     """
     steps = _prime_power_steps(elements, mul, identity)
     gens = [g for _, g, _ in steps]
@@ -508,11 +512,14 @@ def closure_subgroup_enumeration(elements, mul, identity,
     while stack:
         H, last = stack.pop()
         outside = [i for i, g in enumerate(gens) if g not in H]
-        for pos, i in enumerate(outside):
-            if i <= last or steps[i][2] not in H:
+        joined = set()  # the indices outside S(H) in the K built above H so far
+        for i in outside:
+            if i <= last or i in joined or steps[i][2] not in H:
                 continue
             K = _closure(H, gens[i], mul)
-            if any(gens[j] in K for j in outside[:pos]):
+            in_k = [j for j in outside if gens[j] in K]
+            joined.update(in_k)
+            if in_k[0] != i:
                 continue
             if max_subgroups is not None and len(found) >= max_subgroups:
                 raise OracleCapError(f"more than {max_subgroups} subgroups; cap exceeded")

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from multsub import cli, constants, multgroup, sieve
+from multsub import cli, constants, ekstats, multgroup, sieve
 from multsub.cli import run
 
 
@@ -71,7 +71,8 @@ def test_out_of_memory_is_one_stderr_line(capsys, monkeypatch, argv):
 def test_unwritable_output_is_one_stderr_line(capsys, tmp_path, argv):
     path = tmp_path / "missing" / "out.txt"
     assert run([*argv, str(path)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # distribution opens --samples-csv before it writes its report
     assert err.startswith(f"{argv[0]}: ") and str(path) in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -183,6 +184,30 @@ def test_only_scan_sieves_bigomega_phi(monkeypatch, capsys):
         assert run(argv) == 0, argv
     with pytest.raises(AssertionError, match="was sieved"):
         run(["scan", "--max", "100"])
+
+
+def test_moments_stream_without_a_table(monkeypatch, capsys):
+    def refuse(N):
+        raise AssertionError("sieve.build was called")
+
+    monkeypatch.setattr(sieve, "build", refuse)
+    assert run(["moments", "--x", "20000", "--h-max", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "h,x,M_h,normalized\n"
+        "1,20000,-16648.009554603916,-0.21053918012028325\n"
+        "2,20000,18688.86071460982,0.05977974316388842\n")
+
+
+def test_moments_past_their_estimate_are_one_stderr_line(monkeypatch, capsys):
+    # refused before the prime sieve allocates anything
+    def refuse(n):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(ekstats, "primes_up_to", refuse)
+    monkeypatch.setattr(sieve, "primes_up_to", refuse)
+    assert run(["moments", "--x", "2000000000"]) == 2
+    assert capsys.readouterr() == (
+        "", "moments: x = 2000000000 needs about 4067108866 bytes, budget 2147483648\n")
 
 
 def test_distribution_json(tmp_path):

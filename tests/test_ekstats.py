@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -204,41 +205,71 @@ def _assert_moments_are_fsum_per_n(xs, table):
     for x in xs:
         centered = _surrogate_array(x, table)[1:] - ekstats.surrogate_mean(x, table)
         per_n = {h: math.fsum((centered**h).tolist()) for h in hs}
-        assert ekstats.surrogate_moments(hs, x, table) == per_n, x
+        assert ekstats.surrogate_moments(hs, x) == per_n, x
+
+
+_BLOCK = sieve.block_length(505_000)
 
 
 @pytest.mark.parametrize("qs_bound", [None, 9])
 def test_distinct_row_moments_match_per_n(table_10k, table_100k, monkeypatch, qs_bound):
-    """Bit for bit the exactly rounded sum of the per-n values, with the
-    surrogate's prime powers as at x (empty below x ~ 1.76e8) and with them
-    forced to the prime powers <= 9, so that every omega_q digit of the row
-    key is exercised; also at x = 1e4 on table_100k, a table larger than x."""
+    """Bit for bit the exactly rounded sum of the per-n values from the table,
+    with the surrogate's prime powers as at x (empty below x ~ 1.76e8) and with
+    them forced to the prime powers <= 9, so that every omega_q digit of the
+    row key is exercised.  The moments stream phi_blocks' blocks, so x also
+    sits at one block length, one below and one above it (the last block then
+    has one or two n), and at 505,000, the benchmark's size."""
     if qs_bound is not None:
         qs = sieve.prime_power_list(qs_bound)
         monkeypatch.setattr(ekstats, "surrogate_prime_powers", lambda x: qs)
+    assert sieve.block_length(_BLOCK + 1) == _BLOCK
     _assert_moments_are_fsum_per_n([1e4], table_10k)
     _assert_moments_are_fsum_per_n([1e4, 1e5], table_100k)
+    _assert_moments_are_fsum_per_n([_BLOCK - 1, _BLOCK, _BLOCK + 1, 505_000], sieve.build(505_000))
 
 
-def test_moments_across_the_counting_slices():
-    # the rows are counted in slices of 2^16 n; x = 505,000 is the
-    # benchmark's size, and ends inside a slice
-    _assert_moments_are_fsum_per_n([2**16 - 1, 2**16, 2**16 + 1, 505_000], sieve.build(505_000))
+def test_moments_across_the_counting_slices(table_100k):
+    # the rows are counted in slices of 2^16 n
+    _assert_moments_are_fsum_per_n([2**16 - 1, 2**16, 2**16 + 1], table_100k)
+
+
+def test_moments_peak_under_five_bytes_per_n():
+    # only omega is held over [0, x]: no phi, remainder or gathered column
+    x = 2 * 10**6
+    tracemalloc.start()
+    try:
+        ekstats.surrogate_moments([1, 2, 3, 4], x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * x, peak / x
+
+
+def test_moments_at_2e8_pass_their_estimate(monkeypatch):
+    # x = 2e8, where q = 2 enters the surrogate, gets as far as the prime sieve
+    # (the refusal above the estimate is test_cli's)
+    def refuse(n):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(ekstats, "primes_up_to", refuse)
+    assert ekstats.moments_bytes(2 * 10**8) <= sieve.DEFAULT_MEMORY_BUDGET
+    with pytest.raises(AssertionError, match="allocated"):
+        ekstats.surrogate_moments([2], 2e8)
 
 
 def test_first_moment_two_ways(table_100k):
     x = 1e5
-    m1 = ekstats.surrogate_moments([1], x, table_100k)[1]
+    m1 = ekstats.surrogate_moments([1], x)[1]
     pn = _surrogate_array(x, table_100k)
     alt = ekstats.chunked_sum(pn[1:]) - 10**5 * ekstats.surrogate_mean(x, table_100k)
     assert m1 == pytest.approx(alt, rel=1e-6)
 
 
-def test_moment_validation(table_10k):
+def test_moment_validation():
     with pytest.raises(ValueError):
-        ekstats.surrogate_moments([9], 1e4, table_10k)
+        ekstats.surrogate_moments([9], 1e4)
     with pytest.raises(ValueError):
-        ekstats.surrogate_moments([0], 1e4, table_10k)
+        ekstats.surrogate_moments([0], 1e4)
 
 
 def test_chunked_sum_matches_fsum():

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from multsub import multgroup
 
@@ -20,6 +21,25 @@ def _run_script(args, timeout=120):
                          capture_output=True, text=True, timeout=timeout)
     assert out.returncode == 0, out.stderr
     return out.stdout
+
+
+@pytest.mark.parametrize("args", [["scripts/log_counts_digest.py", "6049"],
+                                  ["scripts/trend_report.py", "--xs", "1e4", "--distribution-x", "1000"]],
+                         ids=["log_counts_digest", "trend_report"])
+def test_closed_stdout_is_no_traceback(args):
+    # unbuffered, so the first line comes at once and the next write meets the closed pipe
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "scripts")]))
+    proc = subprocess.Popen([sys.executable, *args], cwd=ROOT, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    proc.wait(timeout=120)
+    name = Path(args[0]).stem
+    assert "Traceback" not in err
+    assert (proc.returncode, err) in ((0, ""), (2, f"{name}: [Errno 32] Broken pipe\n")), err
 
 
 def test_trend_report_runs():

@@ -203,6 +203,30 @@ def test_build_matches_per_prime_reference(sizes):
             assert a.dtype == b.dtype and np.array_equal(a, b), (N, name)
 
 
+@pytest.mark.parametrize("N", [2**17 - 1, 2**17, 2**17 + 1])
+def test_phi_blocks_join_to_the_table_columns(N):
+    # one block, then a last block of one n, then of two
+    assert sieve.block_length(N) == 2**17
+    t = sieve.build(N)
+    small = t.primes[t.primes <= math.isqrt(N)].tolist()
+    blocks = list(sieve.phi_blocks(N, small))
+    assert [lo for lo, _, _ in blocks] == list(range(0, N + 1, 2**17))
+    phi = np.concatenate([b for _, b, _ in blocks])
+    large = np.concatenate([b for _, _, b in blocks])
+    lpf = np.ones(N + 1, dtype=np.int64)  # the largest prime factor, 1 for n < 2
+    for p in t.primes.tolist():
+        lpf[p::p] = p
+    ref_phi = _build_per_prime(N)[0]
+    assert phi.dtype == large.dtype == np.int32
+    assert np.array_equal(phi, ref_phi) and np.array_equal(phi, t.phi)
+    assert np.array_equal(large, np.where(lpf > math.isqrt(N), lpf, 1))
+    assert np.array_equal(large > 1, t.big)
+
+
+def test_block_length():
+    assert [sieve.block_length(N) for N in (2, 5 * 10**5, 10**7, 2 * 10**8)] == [2**17, 2**17, 2**18, 2**20]
+
+
 def test_build_peak_memory_within_budget_rate():
     # build refuses tables above 16 bytes per entry; its own peak allocation
     # (numpy reports to tracemalloc) must stay within that rate
