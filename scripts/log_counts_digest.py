@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest of one cold `multgroup.subgroup_count_arrays(table, N)` call with
+"""Digest of one cold `multgroup.subgroup_count_arrays(table)` call with
 `exact_logs` of both arrays: the sha256 of the two float64 arrays (log G and
 log I over 0 <= n <= N, as raw bytes), the CPU seconds of the calls
 (`time.process_time`, the table build excluded) and this process's peak RSS
@@ -24,7 +24,7 @@ def main():
     print(f"N {N}")
     table = sieve.build(N)
     start = time.process_time()
-    log_g, log_i = map(multgroup.exact_logs, multgroup.subgroup_count_arrays(table, N))
+    log_g, log_i = map(multgroup.exact_logs, multgroup.subgroup_count_arrays(table))
     cpu = time.process_time() - start
     print(f"logG_sha256 {hashlib.sha256(log_g.tobytes()).hexdigest()}")
     print(f"logI_sha256 {hashlib.sha256(log_i.tobytes()).hexdigest()}")

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 sys.path.insert(0, "src")
 
-from multsub import constants, ekstats, multgroup, sieve  # noqa: E402
+from multsub import constants, ekstats, extremal, multgroup, sieve  # noqa: E402
 from multsub.partitions import partitions_of  # noqa: E402
 from multsub.pgroup import PGroupType, log_subgroup_count_main_term, subgroup_count  # noqa: E402
 
@@ -122,12 +122,9 @@ def pin_single_sum_tail(prime_limit=10**7):
 
 
 def pin_g_upper_slack(n_max=10**5):
-    table = sieve.build(n_max)
     base = 0.25 * math.log(n_max) ** 2 / math.log(math.log(n_max))
-    ratios = multgroup.exact_logs(multgroup.subgroup_count_arrays(table, n_max)[0]) / base
-    n = 3 + int(ratios[3:].argmax())  # the first maximum
-    worst = (float(ratios[n]), n)
-    print(f"G_UPPER_BOUND_SLACK: scan max ratio {worst[0]:.6f} at n = {worst[1]}")
+    rec = extremal.scan_max(sieve.build(n_max), "G")
+    print(f"G_UPPER_BOUND_SLACK: scan max ratio {rec.value / base:.6f} at n = {rec.n}")
 
 
 if __name__ == "__main__":

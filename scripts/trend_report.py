@@ -62,7 +62,7 @@ def main():
     x = args.distribution_x
     table = sieve.build(x)
     for which in ("G", "I"):
-        rep = ekstats.distribution_report(x, which, table)
+        rep, _ = ekstats.distribution_report(table, which)
         mom = {h: round(v, 4) for h, v in rep.empirical_moments.items()}
         print(f"distribution of log {which}(n), n <= {x}: "
               f"KS = {rep.ks_distance:.4f}, moments = {mom}")

@@ -66,7 +66,7 @@ def cmd_scan(args) -> int:
         print("scan: --max must be at least 2", file=sys.stderr)
         return 2
     table = sieve.build(n_max)
-    g, i = multgroup.subgroup_count_arrays(table, n_max)
+    g, i = multgroup.subgroup_count_arrays(table)
     log6 = lambda count: f"{math.log(count):.6f}"
     columns = [multgroup.per_distinct(col, fmt, object)  # each value formatted once
                for col, fmt in ((table.omega_phi, str), (table.bigomega_phi, str), (g, log6), (i, log6))]
@@ -80,11 +80,20 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether the paths a and b name one file, directly or through a link."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_distribution(args) -> int:
-    table = sieve.build(args.x)
-    report, samples = ekstats.distribution_report(
-        args.x, args.which, table, return_samples=True
-    )
+    paths = [path for path in (args.out, args.samples_csv) if path not in (None, "-")]
+    if len(paths) == 2 and _same_file(*paths):  # two "w" handles on one file would interleave
+        print(f"distribution: --out and --samples-csv name the same file: {args.out}", file=sys.stderr)
+        return 2
+    report, samples = ekstats.distribution_report(sieve.build(args.x), args.which)
     # both outputs are opened before either is written: an unwritable one leaves no report
     with (_output(args.out) as out,
           _output(args.samples_csv) if args.samples_csv else contextlib.nullcontext() as rows_out):
@@ -201,8 +210,7 @@ def cmd_verify(args) -> int:
 
 def cmd_extremal(args) -> int:
     if args.action == "scan":
-        table = sieve.build(args.max)
-        rec = extremal.scan_max(args.max, args.which, table)
+        rec = extremal.scan_max(sieve.build(args.max), args.which)
     elif args.bv_exponent is not None and (args.which == "I" or args.bv_exponent < 0):
         # the I construction has no exponent; a negative one makes V grow past (log x)^2
         need = "applies only to --which G" if args.which == "I" else "must be at least 0"

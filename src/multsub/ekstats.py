@@ -82,12 +82,6 @@ def _exact_mu(q: int, xi: int) -> Fraction:
     return mu_sum
 
 
-def _g_values(q: int, ps: np.ndarray, table: FunctionTable) -> np.ndarray:
-    """g(p) at each prime of ps for the function tagged q, as floats."""
-    g = table.omega_phi[ps] if q == OMEGA0 else (ps - 1) % q == 0
-    return g.astype(np.float64)
-
-
 def _float_state(q: int, ps: np.ndarray, omega_pm1: np.ndarray | None):
     """The primes of ps (for q != 0 only those with g(p) = 1), their g values
     and their reciprocals; omega_pm1 holds omega(p - 1) at ps, read for q = 0."""
@@ -117,7 +111,7 @@ def _table_primes(q: int, x: float, table: FunctionTable | None):
     """The primes p <= x of a table covering x, and omega(p - 1) at them where
     q = 0 reads it."""
     if table is None or table.N < x:
-        raise ValueError("float mode needs a FunctionTable covering x")
+        raise ValueError(f"float mode needs a FunctionTable covering {x}")
     ps = table.primes[table.primes <= x]
     return ps, table.omega_phi[ps] if q == OMEGA0 else None
 
@@ -186,12 +180,11 @@ def covariance(q1: int, q2: int, z: float, table: FunctionTable) -> float:
     _check_function_id(q2)
     if z < 2:
         raise ValueError("z must be at least 2")
-    if table.N < z:
-        raise ValueError("table must cover z")
-    ps = table.primes[table.primes <= z]
+    # omega(p - 1) is read, and omega(phi) sieved, only where one of the two is tagged 0
+    ps, omega_pm1 = _table_primes(OMEGA0 if OMEGA0 in (q1, q2) else q1, z, table)
     pf = ps.astype(np.float64)
-    weight = (1.0 / pf) * (1.0 - 1.0 / pf)
-    return chunked_sum(_g_values(q1, ps, table) * _g_values(q2, ps, table) * weight)
+    g1, g2 = (omega_pm1 if q == OMEGA0 else (ps - 1) % q == 0 for q in (q1, q2))
+    return chunked_sum(g1.astype(np.float64) * g2 * ((1.0 / pf) * (1.0 - 1.0 / pf)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,25 +336,23 @@ def ks_distance_normal(samples: np.ndarray) -> float:
     return max(0.0, float(np.max(cdf - i / n)), float(np.max((i + 1) / n - cdf)))
 
 
-def distribution_report(x: int, which: str, table: FunctionTable,
-                        return_samples: bool = False):
-    """Normalized samples of log G(n) (or log I(n)) for e^e < n <= x, their
-    empirical moments up to order 4, and the KS distance to the standard
-    normal.  Normalization per sample uses loglog n:
-    (log G(n) - A (loglog n)^2) / sqrt(C (loglog n)^3)."""
+def distribution_report(table: FunctionTable, which: str) -> tuple[DistributionReport, np.ndarray]:
+    """The normalized samples of log G(n) (or log I(n)) for e^e < n <= x =
+    table.N, and a report of their empirical moments up to order 4 and their
+    KS distance to the standard normal.  Normalization per sample uses
+    loglog n: (log G(n) - A (loglog n)^2) / sqrt(C (loglog n)^3)."""
+    x = table.N
     if x < 100:
-        raise ValueError("x must be at least 100")
+        raise ValueError(f"x must be at least 100, got {x}")
     if which not in ("G", "I"):
         raise ValueError("which must be 'G' or 'I'")
-    if table.N < x:
-        raise ValueError("table must cover x")
     if which == "G":
         mean_coeff, var_coeff = constants.NORMALIZATION
     else:
         mean_coeff, var_coeff = LOG2 / 2.0, LOG2 / 3.0
 
     n_min = 16  # smallest integer above e^e
-    logs = multgroup.exact_logs(multgroup.subgroup_count_arrays(table, x)[0 if which == "G" else 1])
+    logs = multgroup.exact_logs(multgroup.subgroup_count_arrays(table)[0 if which == "G" else 1])
     ll = np.log(np.log(np.arange(n_min, x + 1, dtype=np.float64)))
     samples = (logs[n_min:] - mean_coeff * ll**2) / np.sqrt(var_coeff * ll**3)
 
@@ -374,6 +365,4 @@ def distribution_report(x: int, which: str, table: FunctionTable,
         ks_distance=ks_distance_normal(samples),
         normalization=(mean_coeff, var_coeff),
     )
-    if return_samples:
-        return report, samples
-    return report
+    return report, samples

@@ -44,13 +44,13 @@ def _normalized(value: float, log_n: float, which: str) -> float:
     return value * ll / log_n
 
 
-def scan_max(N: int, which: str, table: FunctionTable) -> ExtremalRecord:
-    """argmax of log G(n) (or log I(n)) over 3 <= n <= N, ties to smaller n."""
+def scan_max(table: FunctionTable, which: str) -> ExtremalRecord:
+    """argmax of log G(n) (or log I(n)) over 3 <= n <= table.N, ties to smaller n."""
     if which not in ("G", "I"):
         raise ValueError("which must be 'G' or 'I'")
-    if N < 3 or table.N < N:
-        raise ValueError("need 3 <= N <= table.N")
-    counts = multgroup.subgroup_count_arrays(table, N)[0 if which == "G" else 1]
+    if table.N < 3:
+        raise ValueError(f"N must be at least 3, got {table.N}")
+    counts = multgroup.subgroup_count_arrays(table)[0 if which == "G" else 1]
     best_n = 3 + int(np.argmax(counts[3:]))  # the first maximum, that of the logs too: distinct
     best = math.log(int(counts[best_n]))     # counts below about 1e14 have distinct logs
     return ExtremalRecord(best_n, best, _normalized(best, math.log(best_n), which), "scan")
@@ -143,26 +143,27 @@ class BoundCheckReport:
         return not self.g_violations and not self.i_violations
 
 
-def _i_cap(table: FunctionTable, N: int) -> np.ndarray:
+def _i_cap(table: FunctionTable) -> np.ndarray:
     """pi sqrt(2/3) * sum over p | phi(n) of sqrt(nu_p(phi(n))), for 0 <= n <= N
     (0 where phi(n) = 1): an additive function of m = phi(n) <= N, sieved over
     m with the terms added in ascending p."""
-    return PI_SQRT_2_3 * table.additive(lambda p, nu: np.sqrt(nu(), dtype=np.float64), N,
-                                        np.float64)[table.phi[: N + 1]]
+    return PI_SQRT_2_3 * table.additive(lambda p, nu: np.sqrt(nu(), dtype=np.float64),
+                                        np.float64)[table.phi]
 
 
-def upper_bound_check(N: int, table: FunctionTable,
+def upper_bound_check(table: FunctionTable,
                       slack: float = calibration.G_UPPER_BOUND_SLACK) -> BoundCheckReport:
-    """Verify, for every n <= N, the two growth-rate upper bounds:
+    """Verify, for every n <= N = table.N, the two growth-rate upper bounds:
     log G(n) <= (1/4)(log N)^2/loglog N * (1 + slack) and the exact
     log I(n) <= pi sqrt(2/3) * sum over p | phi(n) of sqrt(nu_p(phi(n))).
     Violations signal an implementation bug."""
-    if N < 100 or table.N < N:
-        raise ValueError("need 100 <= N <= table.N")
+    N = table.N
+    if N < 100:
+        raise ValueError(f"N must be at least 100, got {N}")
     base = 0.25 * math.log(N) ** 2 / math.log(math.log(N))
     g_bound = base * (1 + slack)
-    log_g, log_i = map(multgroup.exact_logs, multgroup.subgroup_count_arrays(table, N))
-    i_cap = _i_cap(table, N)
+    log_g, log_i = map(multgroup.exact_logs, multgroup.subgroup_count_arrays(table))
+    i_cap = _i_cap(table)
     return BoundCheckReport(
         N=N, g_bound=g_bound, slack=slack, max_log_g=float(log_g.max()),
         max_log_g_ratio=float((log_g / base).max()),

@@ -3,8 +3,9 @@
 Factorization, the prime-counting functions omega_q and their boundary
 corrected variants, Carmichael exponents, Sylow partitions from the primary
 decomposition (and, as a check, from omega_bar and lambda_p), exact subgroup
-counts G(n) and I(n), per n or as int64 arrays over a table whose consumers take
-the logs they read (`exact_logs`), and an independent closure-based enumeration oracle.
+counts G(n) and I(n), per n or as int64 arrays over the whole of a table, whose
+consumers take the logs they read (`exact_logs`), and an independent
+closure-based enumeration oracle.
 """
 
 from __future__ import annotations
@@ -395,8 +396,8 @@ def exact_logs(counts: np.ndarray) -> np.ndarray:
     return per_distinct(counts, math.log, np.float64)
 
 
-def subgroup_count_arrays(table: FunctionTable, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(G(n), I(n)) for 0 <= n <= N: two int64 arrays holding the exact counts
+def subgroup_count_arrays(table: FunctionTable) -> tuple[np.ndarray, np.ndarray]:
+    """(G(n), I(n)) for 0 <= n <= table.N: two int64 arrays holding the exact counts
     (1 at n = 0 and 1), as `subgroup_counts(n)` gives them one n at a time.
 
     Only the p-Sylow components with p <= sqrt(N) can have rank 2 or more.
@@ -408,11 +409,10 @@ def subgroup_count_arrays(table: FunctionTable, N: int) -> tuple[np.ndarray, np.
     below it (`_cyclic_only`), every prime dividing phi(n) is a cyclic factor
     Z_p and doubles both counts; there are omega(phi(n)) minus the keyed ones.
     """
-    if not 1 <= N <= table.N:
-        raise ValueError(f"need 1 <= N <= table.N = {table.N}, got {N}")
+    N = table.N
     g = np.ones(N + 1, dtype=np.int64)
     i = np.ones(N + 1, dtype=np.int64)
-    n_large = table.omega_phi[: N + 1].copy()  # primes > sqrt(N) dividing phi(n)
+    n_large = table.omega_phi.copy()  # primes > sqrt(N) dividing phi(n)
     key = np.zeros(N + 1, dtype=np.int64)  # zero again after each p
     for p in table.primes[table.primes <= math.isqrt(N)].tolist():
         qs = np.arange(p + 1, N + 1, p)

@@ -6,10 +6,11 @@ above sqrt(N) that n may have, which each block keeps.  The FunctionTable
 holds, for every n up to N, the totient and whether n has such a prime
 factor, plus the primes up to N; `build` fills it from the blocks.  Every
 additive function (omega, Omega, the I cap's sum of sqrt(nu_p), omega_q) is
-sieved the same way, over a table by `FunctionTable.additive` and over one
-block by `additive_block`; omega(phi(n)) and Omega(phi(n)) are gathered at
-their first read.  The table is immutable and safe to share across threads
-once its cached columns are read.
+sieved the same way, over all of a table by `FunctionTable.additive` and over
+one block by `additive_block`; omega(phi(n)) and Omega(phi(n)) are gathered
+at their first read.  Each reader of a table reads all of [0, N]: a smaller
+range is a table built at that N.  The table is immutable and safe to share
+across threads once its cached columns are read.
 """
 
 from __future__ import annotations
@@ -200,25 +201,22 @@ class FunctionTable:
     primes: np.ndarray         # the primes <= N, ascending, int64
     big: np.ndarray            # n has a prime factor above sqrt(N), bool
 
-    def additive(self, h, M: int | None = None, dtype=np.uint8) -> np.ndarray:
-        """f(m) = sum over p^k || m of h(p, k), for 0 <= m <= M (default N), as dtype.
+    def additive(self, h, dtype=np.uint8) -> np.ndarray:
+        """f(m) = sum over p^k || m of h(p, k), for 0 <= m <= N, as dtype.
 
         h is called once per prime p <= sqrt(N), with a function returning
         the array of the exponents nu_p(m) at the multiples m of p, and once
-        with an array of the primes P in (sqrt(N), M] and exponents 1.  The
+        with an array of the primes P in (sqrt(N), N] and exponents 1.  The
         terms are added in ascending p.  Each m has at most one such P, added
         last: by one add of the big mask where h(P, 1) is the same for every
         P, else by one slice per P with h(P, 1) != 0."""
-        M = self.N if M is None else M
-        if not 0 <= M <= self.N:
-            raise ValueError(f"need 0 <= M <= N = {self.N}, got {M}")
-        f = np.zeros(M + 1, dtype=dtype)
-        split, end = np.searchsorted(self.primes, [math.isqrt(self.N), M], side="right").tolist()
-        _add_small_primes(h, f, 0, self.primes[: min(split, end)].tolist())
-        large = self.primes[split:end]
+        f = np.zeros(self.N + 1, dtype=dtype)
+        split = int(np.searchsorted(self.primes, math.isqrt(self.N), side="right"))
+        _add_small_primes(h, f, 0, self.primes[:split].tolist())
+        large = self.primes[split:]
         values = np.broadcast_to(h(large, partial(np.ones, len(large), dtype=np.uint8)), large.shape)
         if len(large) and (values == values[0]).all():
-            f += self.big[: M + 1] * f.dtype.type(values[0])
+            f += self.big * f.dtype.type(values[0])
         else:
             for P, v in zip(large[values != 0].tolist(), values[values != 0].tolist()):
                 f[P::P] += v
@@ -257,9 +255,9 @@ def build(N: int) -> FunctionTable:
     return FunctionTable(N=N, phi=phi, primes=primes, big=big)
 
 
-def omega_q_table(table: FunctionTable, q: int, M: int | None = None) -> np.ndarray:
-    """uint8 array over [0, M] (default N) with entry n = omega_q(n), the
-    number of distinct primes p | n with p = 1 (mod q)."""
+def omega_q_table(table: FunctionTable, q: int) -> np.ndarray:
+    """uint8 array over [0, N] with entry n = omega_q(n), the number of
+    distinct primes p | n with p = 1 (mod q)."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    return table.additive(lambda p, nu: (p - 1) % q == 0, M)
+    return table.additive(lambda p, nu: (p - 1) % q == 0)

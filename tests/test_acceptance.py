@@ -270,7 +270,7 @@ def test_criterion_08c_covariance_trends(table_10m):
 
 
 def test_criterion_09_extremal(table_100k):
-    rep = extremal.upper_bound_check(10**5, table_100k)
+    rep = extremal.upper_bound_check(table_100k)
     bound_ok = rep.ok
 
     g_rec = extremal.construct_G_extremal(10**6)

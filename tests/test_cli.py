@@ -57,7 +57,7 @@ def test_scan_csv_matches_per_n_definitions(capsys):
 @pytest.mark.parametrize("argv", [["scan", "--max", "100"], ["distribution", "--x", "100"],
                                   ["extremal", "scan", "--max", "100", "--which", "I"]])
 def test_out_of_memory_is_one_stderr_line(capsys, monkeypatch, argv):
-    def fail(table, N):
+    def fail(table):
         raise MemoryError("Unable to allocate 763. MiB for an array")
 
     monkeypatch.setattr(multgroup, "subgroup_count_arrays", fail)
@@ -227,6 +227,37 @@ def test_distribution_json(tmp_path):
     n_str, val_str = sample_lines[1].split(",")
     assert n_str == "16"
     float(val_str)  # plain parseable floats, no wrapper reprs
+
+
+@pytest.mark.parametrize("link", [None, "dot", "symlink", "hardlink"])
+def test_distribution_refuses_one_file_for_both_outputs(capsys, tmp_path, monkeypatch, link):
+    # two "w" handles on one file would write the report over the CSV's first rows
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("keep\n")
+    other = {None: "F", "dot": "./F", "symlink": "L", "hardlink": "H"}[link]
+    if link == "symlink":
+        (tmp_path / "L").symlink_to("F")
+    elif link == "hardlink":
+        (tmp_path / "H").hardlink_to(tmp_path / "F")
+    assert run(["distribution", "--x", "200", "--out", other, "--samples-csv", "F"]) == 2
+    assert capsys.readouterr() == (
+        "", f"distribution: --out and --samples-csv name the same file: {other}\n")
+    assert (tmp_path / "F").read_text() == "keep\n"
+    # a file not made yet is refused too, and "-" for both is one stream, stdout
+    assert run(["distribution", "--x", "200", "--out", "G", "--samples-csv", "./G"]) == 2
+    assert not (tmp_path / "G").exists()
+    assert run(["distribution", "--x", "200", "--out", "-", "--samples-csv", "-"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("{") and out.count("\nn,normalized\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extremal", "scan", "--max", "2"], "extremal: N must be at least 3, got 2\n"),
+    (["distribution", "--x", "99"], "distribution: x must be at least 100, got 99\n"),
+], ids=["extremal-scan-max-2", "distribution-x-99"])
+def test_range_errors_name_the_value_given(capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_extremal_commands(tmp_path):

@@ -165,6 +165,14 @@ def test_covariance_examples(table_10k):
     a = ekstats.covariance(3, OMEGA0, 5000, table_10k)
     b = ekstats.covariance(OMEGA0, 3, 5000, table_10k)
     assert a == b
+    # omega(p - 1) read at the primes, against the per-prime factorization
+    ps = sieve.primes_up_to(1000).tolist()
+    for q in (OMEGA0, 4):
+        want = math.fsum(len(multgroup.factorize(p - 1)) * ekstats._g_exact(q, p) * (1 / p) * (1 - 1 / p)
+                         for p in ps)
+        assert ekstats.covariance(OMEGA0, q, 1000, table_10k) == pytest.approx(want, rel=1e-12), q
+    with pytest.raises(ValueError, match="covering 10001"):
+        ekstats.covariance(OMEGA0, OMEGA0, 10**4 + 1, table_10k)
 
 
 def test_log_g_surrogate_examples():
@@ -312,7 +320,7 @@ def test_ks_distance_matches_loop():
 
 
 def test_distribution_report_goldens(table_10k):
-    rep = ekstats.distribution_report(10**4, "G", table_10k)
+    rep, _ = ekstats.distribution_report(table_10k, "G")
     assert rep.sample_count == 10**4 - 15
     assert 0 <= rep.ks_distance <= 1
     assert rep.ks_distance == pytest.approx(0.3314251700733143, abs=1e-9)
@@ -320,7 +328,7 @@ def test_distribution_report_goldens(table_10k):
     assert rep.empirical_moments[2] == pytest.approx(0.310395038609479, abs=1e-9)
     assert np.isfinite(list(rep.empirical_moments.values())).all()
 
-    rep_i = ekstats.distribution_report(10**4, "I", table_10k)
+    rep_i, _ = ekstats.distribution_report(table_10k, "I")
     assert rep_i.normalization == pytest.approx((LOG2 / 2, LOG2 / 3))
     assert rep_i.ks_distance == pytest.approx(0.6134246687755323, abs=1e-9)
     d = rep_i.to_json_dict()
@@ -328,8 +336,8 @@ def test_distribution_report_goldens(table_10k):
     assert set(d["empirical_moments"]) == {"1", "2", "3", "4"}
 
 
-def test_distribution_report_validation(table_10k):
+def test_distribution_report_validation():
+    with pytest.raises(ValueError, match="x must be at least 100, got 50"):
+        ekstats.distribution_report(sieve.build(50), "G")
     with pytest.raises(ValueError):
-        ekstats.distribution_report(50, "G", table_10k)
-    with pytest.raises(ValueError):
-        ekstats.distribution_report(1000, "H", table_10k)
+        ekstats.distribution_report(sieve.build(1000), "H")

@@ -45,17 +45,18 @@ def test_isoclass_count_against_partition_sums():
             assert ip <= psums[k_p] <= (k_p + 1) * partition_count(k_p), (n, p)
 
 
-def test_scan_max_small(table_10k):
-    rec = extremal.scan_max(3, "G", table_10k)
+def test_scan_max_small():
+    rec = extremal.scan_max(sieve.build(3), "G")
     assert rec.n == 3
     assert rec.value == pytest.approx(math.log(2))
     assert rec.provenance == "scan"
 
 
-def test_scan_max_100_golden(table_10k):
+def test_scan_max_100_golden():
     # independently recomputed via the closure oracle below
-    rec_g = extremal.scan_max(100, "G", table_10k)
-    rec_i = extremal.scan_max(100, "I", table_10k)
+    table = sieve.build(100)
+    rec_g = extremal.scan_max(table, "G")
+    rec_i = extremal.scan_max(table, "I")
 
     best_g, best_i = (3, 0), (3, 0)
     for n in range(3, 101):
@@ -71,10 +72,10 @@ def test_scan_max_100_golden(table_10k):
     assert rec_g.normalized > 0 and rec_i.normalized > 0
 
 
-def test_scan_max_monotone(table_10k):
+def test_scan_max_monotone():
     prev = -1.0
     for n_max in (10, 50, 100, 500, 2000):
-        v = extremal.scan_max(n_max, "G", table_10k).value
+        v = extremal.scan_max(sieve.build(n_max), "G").value
         assert v >= prev
         prev = v
 
@@ -136,35 +137,35 @@ def test_construct_i_nontrivial_scale():
     assert rec.n < 1e20
 
 
-def test_upper_bound_check_small(table_10k):
+def test_upper_bound_check_small():
     # the pinned slack is calibrated for the N = 10^5 window; at N = 2000 the
     # finite-size overshoot is larger (max ratio 1.1243 at n = 1560), so the
     # small-window check passes an explicit slack
-    rep = extremal.upper_bound_check(2000, table_10k, slack=0.2)
+    rep = extremal.upper_bound_check(sieve.build(2000), slack=0.2)
     assert rep.ok
     assert rep.g_violations == [] and rep.i_violations == []
     assert 1.0 < rep.max_log_g_ratio < 1.2
     assert rep.max_log_i_ratio < 1
-    with pytest.raises(ValueError):
-        extremal.upper_bound_check(50, table_10k)
+    with pytest.raises(ValueError, match="N must be at least 100, got 50"):
+        extremal.upper_bound_check(sieve.build(50))
 
 
 def test_i_cap_bit_for_bit_against_per_n_factorization(table_100k):
     t = table_100k
     ref = [PI_SQRT_2_3 * sum(math.sqrt(e) for _, e in multgroup.factorize(int(phi)))
            if phi > 1 else 0.0 for phi in t.phi.tolist()]
-    cap = extremal._i_cap(t, 10**5)
+    cap = extremal._i_cap(t)
     assert cap.dtype == np.float64 and len(cap) == 10**5 + 1
     bad = [n for n in range(10**5 + 1) if cap[n] != ref[n]]
     assert not bad, bad[:10]
-    # a shorter range moves the split at sqrt(N), not the values
+    # a smaller table moves the split at sqrt(N), not the values
     for N in (100, 2000, 6049):
-        assert extremal._i_cap(t, N).tolist() == ref[: N + 1], N
+        assert extremal._i_cap(sieve.build(N)).tolist() == ref[: N + 1], N
 
 
 def test_i_cap_builds_no_sylow_keys(table_10k, monkeypatch):
     # the cap is computed from the totient column, independently of the count arrays
-    ref = extremal._i_cap(table_10k, 6049)
+    ref = extremal._i_cap(table_10k)
     monkeypatch.setattr(multgroup, "_sylow_keys",
                         lambda *args: pytest.fail("Sylow keys built"))
-    assert np.array_equal(extremal._i_cap(table_10k, 6049), ref)
+    assert np.array_equal(extremal._i_cap(table_10k), ref)

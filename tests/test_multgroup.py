@@ -217,18 +217,16 @@ def test_subgroup_count_arrays_match_definitional_products(table_100k, per_n_100
     # arrays equal both
     bad = per_n_100k["failures"]["definitional"]
     assert not bad, bad[:10]
-    g_arr, i_arr = mg.subgroup_count_arrays(table_100k, 10**5)
+    g_arr, i_arr = mg.subgroup_count_arrays(table_100k)
     assert g_arr.dtype == i_arr.dtype == np.int64
     assert len(g_arr) == len(i_arr) == 10**5 + 1
     assert g_arr[0] == i_arr[0] == 1
     assert g_arr.tolist() == per_n_100k["G"] and i_arr.tolist() == per_n_100k["I"]
-    with pytest.raises(ValueError):
-        mg.subgroup_count_arrays(table_100k, 10**5 + 1)
 
 
 def test_subgroup_count_arrays_exact_against_subgroup_counts(table_100k, per_n_100k):
     t = table_100k
-    counts = mg.subgroup_count_arrays(t, 10**5)
+    counts = mg.subgroup_count_arrays(t)
     for which, got in zip("GI", counts):
         want = per_n_100k[which]  # subgroup_counts(n), with (1, 1) at n = 0
         assert got.tolist() == want
@@ -237,11 +235,11 @@ def test_subgroup_count_arrays_exact_against_subgroup_counts(table_100k, per_n_1
         assert mg.exact_logs(got).tolist() == logs
         # the scan's argmax over the counts is the first argmax of the logs
         best = max(logs[3:])
-        rec = extremal.scan_max(10**5, which, t)
+        rec = extremal.scan_max(t, which)
         assert (rec.n, rec.value) == (logs.index(best, 3), best), which
-    # a shorter range changes which primes count as small, not the values
-    for N in (*range(1, 40), 99, 100, 101, 1680, 10**4):
-        short_g, short_i = mg.subgroup_count_arrays(t, N)
+    # a smaller table changes which primes count as small, not the values
+    for N in (*range(2, 40), 99, 100, 101, 1680, 10**4):
+        short_g, short_i = mg.subgroup_count_arrays(sieve.build(N))
         assert np.array_equal(short_g, counts[0][: N + 1]), N
         assert np.array_equal(short_i, counts[1][: N + 1]), N
 
@@ -250,7 +248,7 @@ def test_subgroup_count_arrays_sampled_against_subgroup_counts_at_1e6(table_1m):
     # past the whole-range check at 1e5: a fixed-seed sample of 3,000 n, n = 1e6
     # and the n where each array peaks
     N = 10**6
-    g, i = mg.subgroup_count_arrays(table_1m, N)
+    g, i = mg.subgroup_count_arrays(table_1m)
     ns = {*random.Random(20261020).sample(range(1, N + 1), 3000), N, int(g.argmax()), int(i.argmax())}
     bad = [n for n in sorted(ns) if mg.subgroup_counts(n) != (int(g[n]), int(i[n]))]
     assert not bad, bad[:10]
@@ -260,9 +258,9 @@ def test_cyclic_only_primes_at_their_thresholds(table_100k):
     # an odd p <= sqrt(N) is skipped as a doubling unless some n <= N has a p-Sylow
     # beyond Z_p: Z_{p^2} from p^3 or from a prime q = 1 (mod p^2), Z_p x Z_p from
     # p^2 q0 or q0 q1.  At N = t - 1 and N = t for each such size t, the arrays
-    # are still the prefix of those at 1e5
+    # of tables built there are still the prefix of those at 1e5
     t, top = table_100k, 10**5
-    g, i = mg.subgroup_count_arrays(t, top)
+    g, i = mg.subgroup_count_arrays(t)
     primes = t.primes.tolist()
     for p in primes[1:17]:  # the odd p <= 60
         q0, q1 = [q for q in primes if q % p == 1][:2]
@@ -270,7 +268,7 @@ def test_cyclic_only_primes_at_their_thresholds(table_100k):
         for threshold in (p**3, p * p * q0, q0 * q1, q_square):
             for N in (threshold - 1, threshold):
                 if N <= top:
-                    short_g, short_i = mg.subgroup_count_arrays(t, N)
+                    short_g, short_i = mg.subgroup_count_arrays(sieve.build(N))
                     assert np.array_equal(short_g, g[: N + 1]), (p, N)
                     assert np.array_equal(short_i, i[: N + 1]), (p, N)
 

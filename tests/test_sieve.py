@@ -108,21 +108,19 @@ def test_table_matches_per_n_computation(table_10k):
 
 
 def test_omega_q_tables(table_10k):
-    # primes above sqrt(N) = 100 are odd, so q = 2 adds theirs by the big mask
-    # and q >= 3 by one slice each; M ends around 97^2, just above sqrt(N) and at N
-    t = table_10k
+    # primes above sqrt(N) are odd, so q = 2 adds theirs by the big mask and
+    # q >= 3 by one slice each; the smaller tables end around 97^2, where 97
+    # moves from below sqrt(N) to above it, and just above sqrt(10^4)
     facts = [mg.factorize(n) if n else [] for n in range(10**4 + 1)]
+    tables = [table_10k] + [sieve.build(N) for N in (97**2 - 1, 97**2, 97**2 + 1, 101)]
     for q in range(2, 10):
         ref = np.array([mg.omega_q(n, q, f) if n > 1 else 0 for n, f in enumerate(facts)])
-        full = sieve.omega_q_table(t, q)
-        assert full.dtype == np.uint8 and np.array_equal(full, ref), q
-        for M in (97**2 - 1, 97**2, 97**2 + 1, 101, 10**4):
-            assert np.array_equal(sieve.omega_q_table(t, q, M), full[: M + 1]), (q, M)
-    assert int(sieve.omega_q_table(t, 2)[12]) == 1
-    assert int(sieve.omega_q_table(t, 4)[10]) == 1
-    assert int(sieve.omega_q_table(t, 9)[2]) == 0
-    with pytest.raises(ValueError, match="M <= N"):
-        sieve.omega_q_table(t, 2, 10**4 + 1)
+        for t in tables:
+            got = sieve.omega_q_table(t, q)
+            assert got.dtype == np.uint8 and np.array_equal(got, ref[: t.N + 1]), (q, t.N)
+    assert int(sieve.omega_q_table(table_10k, 2)[12]) == 1
+    assert int(sieve.omega_q_table(table_10k, 4)[10]) == 1
+    assert int(sieve.omega_q_table(table_10k, 9)[2]) == 0
 
 
 def test_mertens_progression_sums_at_1e7():
@@ -221,6 +219,23 @@ def test_phi_blocks_join_to_the_table_columns(N):
     assert np.array_equal(phi, ref_phi) and np.array_equal(phi, t.phi)
     assert np.array_equal(large, np.where(lpf > math.isqrt(N), lpf, 1))
     assert np.array_equal(large > 1, t.big)
+
+
+_ADDITIVE = {"omega": lambda p, nu: 1, "Omega": lambda p, nu: nu(),
+             **{f"omega_{q}": lambda p, nu, q=q: (p - 1) % q == 0 for q in range(2, 10)}}
+
+
+@pytest.mark.parametrize("N", [2**17 - 1, 2**17, 2**17 + 1])
+def test_additive_blocks_join_to_the_table_sieve(N):
+    # the two additive sieves against each other; for q >= 3, h(P, 1) varies
+    # with the prime P above sqrt(N), so the table's slice per P and the
+    # block's np.where both run
+    t = sieve.build(N)
+    small = t.primes[t.primes <= math.isqrt(N)].tolist()
+    for name, h in _ADDITIVE.items():
+        joined = np.concatenate([sieve.additive_block(h, lo, large, small)
+                                 for lo, _, large in sieve.phi_blocks(N, small)])
+        assert joined.dtype == np.uint8 and np.array_equal(joined, t.additive(h)), (N, name)
 
 
 def test_block_length():
