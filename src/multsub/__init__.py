@@ -1,35 +1,7 @@
 """Exact subgroup counting in the unit groups (Z/nZ)^x, with the analytic
-apparatus for their distribution statistics and maximal-order experiments."""
+apparatus for their distribution statistics and maximal-order experiments.
 
-from .multgroup import (
-    count_subgroup_isoclasses,
-    count_subgroups,
-    factorize,
-    sylow_decomposition,
-    sylow_partition,
-)
-from .partitions import Partition, count_subpartitions, enumerate_subpartitions, is_subpartition
-from .pgroup import PGroupType, gaussian_binomial, subgroup_count, subgroup_count_of_type
-from .sieve import FunctionTable, build, primes_up_to
+The submodules are the API: `multgroup`, `pgroup`, `partitions`, `sieve`,
+`ekstats`, `constants`, `extremal`, `polyops` and `cli`."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "FunctionTable",
-    "PGroupType",
-    "Partition",
-    "build",
-    "count_subgroup_isoclasses",
-    "count_subgroups",
-    "count_subpartitions",
-    "enumerate_subpartitions",
-    "factorize",
-    "gaussian_binomial",
-    "is_subpartition",
-    "primes_up_to",
-    "subgroup_count",
-    "subgroup_count_of_type",
-    "sylow_decomposition",
-    "sylow_partition",
-    "__version__",
-]

@@ -18,8 +18,12 @@ import sys
 from fractions import Fraction
 from itertools import permutations
 
+# multgroup, the largest module, first: where no bytecode is cached, it is then
+# compiled before numpy is loaded, and its compile does not set the import's
+# peak memory, which a process forked after the import inherits
+from . import multgroup
 from . import constants as constants_mod
-from . import ekstats, extremal, multgroup, partitions, polyops, sieve
+from . import ekstats, extremal, partitions, polyops, sieve
 
 
 _ROW_BLOCK = 1 << 16  # scan formats and writes this many rows at a time
@@ -60,12 +64,19 @@ def cmd_count(args) -> int:
     return 0
 
 
+def _table(N: int) -> sieve.FunctionTable:
+    """sieve.build(N), refused before it allocates where the structure pass would pass the budget."""
+    if (need := multgroup.count_arrays_bytes(N)) > sieve.DEFAULT_MEMORY_BUDGET:
+        raise sieve.MemoryBudgetError(f"N = {N} needs about {need} bytes, budget {sieve.DEFAULT_MEMORY_BUDGET}")
+    return sieve.build(N)
+
+
 def cmd_scan(args) -> int:
     n_max = args.max
     if n_max < 2:
         print("scan: --max must be at least 2", file=sys.stderr)
         return 2
-    table = sieve.build(n_max)
+    table = _table(n_max)
     g, i = multgroup.subgroup_count_arrays(table)
     log6 = lambda count: f"{math.log(count):.6f}"
     columns = [multgroup.per_distinct(col, fmt, object)  # each value formatted once
@@ -93,7 +104,7 @@ def cmd_distribution(args) -> int:
     if len(paths) == 2 and _same_file(*paths):  # two "w" handles on one file would interleave
         print(f"distribution: --out and --samples-csv name the same file: {args.out}", file=sys.stderr)
         return 2
-    report, samples = ekstats.distribution_report(sieve.build(args.x), args.which)
+    report, samples = ekstats.distribution_report(_table(args.x), args.which)
     # both outputs are opened before either is written: an unwritable one leaves no report
     with (_output(args.out) as out,
           _output(args.samples_csv) if args.samples_csv else contextlib.nullcontext() as rows_out):
@@ -210,7 +221,7 @@ def cmd_verify(args) -> int:
 
 def cmd_extremal(args) -> int:
     if args.action == "scan":
-        rec = extremal.scan_max(sieve.build(args.max), args.which)
+        rec = extremal.scan_max(_table(args.max), args.which)
     elif args.bv_exponent is not None and (args.which == "I" or args.bv_exponent < 0):
         # the I construction has no exponent; a negative one makes V grow past (log x)^2
         need = "applies only to --which G" if args.which == "I" else "must be at least 0"

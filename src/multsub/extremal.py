@@ -38,10 +38,9 @@ class ExtremalRecord:
 
 
 def _normalized(value: float, log_n: float, which: str) -> float:
-    ll = math.log(log_n)
-    if which == "G":
-        return value * ll / log_n**2
-    return value * ll / log_n
+    """value * loglog n / (log n)^2 for G, / log n for I; + 0.0 turns the -0.0
+    of a zero value at n = 2 (loglog 2 < 0) into 0.0 and leaves the rest alone."""
+    return value * math.log(log_n) / (log_n**2 if which == "G" else log_n) + 0.0
 
 
 def scan_max(table: FunctionTable, which: str) -> ExtremalRecord:

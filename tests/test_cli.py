@@ -210,6 +210,21 @@ def test_moments_past_their_estimate_are_one_stderr_line(monkeypatch, capsys):
         "", "moments: x = 2000000000 needs about 4067108866 bytes, budget 2147483648\n")
 
 
+@pytest.mark.parametrize("argv", [["scan", "--max"], ["distribution", "--x"], ["extremal", "scan", "--max"]],
+                         ids=["scan", "distribution", "extremal-scan"])
+def test_table_commands_past_their_estimate_are_one_stderr_line(monkeypatch, capsys, argv):
+    # refused before the table is built; 10^7 is under the budget and reaches the build
+    def build(N):
+        raise ValueError(f"built {N}")
+
+    monkeypatch.setattr(sieve, "build", build)
+    assert run(argv + ["100000000"]) == 2
+    assert capsys.readouterr() == (
+        "", f"{argv[0]}: N = 100000000 needs about 9667108960 bytes, budget 2147483648\n")
+    assert run(argv + ["10000000"]) == 2
+    assert capsys.readouterr() == ("", f"{argv[0]}: built 10000000\n")
+
+
 def test_distribution_json(tmp_path):
     out = tmp_path / "d.json"
     samples = tmp_path / "s.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from multsub import extremal, multgroup, sieve
 from multsub.calibration import LOG_NP_MAIN_TERM_C
+from multsub.cli import run
 from multsub.extremal import PI_SQRT_2_3
 
 
@@ -90,7 +91,7 @@ def test_construct_g_at_1e6():
     v_limit = log_x**2 / ll * (1 - 1 / ll)
     qs = [int(q) for q in sieve.primes_up_to(v_limit) if (q - 1) % 7 == 0]
     assert rec.n == math.prod(qs) == 1247
-    g = multgroup.count_subgroups(rec.n)
+    g = multgroup.subgroup_counts(rec.n)[0]
     assert rec.value == pytest.approx(math.log(g))
     # claimed inequality: log G >= (log p / 4) omega_p(n)^2 - c lambda_p log p
     p = 7
@@ -109,7 +110,7 @@ def test_construct_g_rejects_infeasible_exponent():
         extremal.construct_G_extremal(10**5)
 
 
-def test_construct_i_at_1e6():
+def test_construct_i_at_1e6(capsys):
     rec = extremal.construct_I_extremal(10**6)
     # U < 2 at this scale: the modulus degenerates to 1 and the smallest
     # prime overall is returned
@@ -119,8 +120,12 @@ def test_construct_i_at_1e6():
     u = math.log(10**6) / 5 - math.log(math.log(10**6))
     pi_u = len(sieve.primes_up_to(u)) if u >= 2 else 0
     assert len(multgroup.factorize(rec.n - 1)) >= pi_u
-    i = multgroup.count_subgroup_isoclasses(rec.n)
+    i = multgroup.subgroup_counts(rec.n)[1]
     assert i >= 2 ** len(multgroup.factorize(rec.n - 1))
+    # 0 * loglog 2 is -0.0, printed as 0.0
+    assert run(["extremal", "construct", "--x", "1e6", "--which", "I"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "n": "2",\n  "value": 0.0,\n  "normalized": 0.0,\n  "provenance": "construction"\n}\n')
 
 
 def test_construct_i_nontrivial_scale():
@@ -131,7 +136,7 @@ def test_construct_i_nontrivial_scale():
     assert pi_u == 3
     w = len(multgroup.factorize(rec.n - 1))
     assert w >= pi_u
-    i = multgroup.count_subgroup_isoclasses(rec.n)
+    i = multgroup.subgroup_counts(rec.n)[1]
     assert i >= 2**w
     assert rec.value == pytest.approx(math.log(i))
     assert rec.n < 1e20

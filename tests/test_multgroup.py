@@ -186,11 +186,8 @@ def test_carmichael_values():
 
 
 def test_sylow_partition_examples():
-    assert mg.sylow_partition(8, 2) == Partition((1, 1))
-    assert mg.sylow_partition(7, 2) == Partition((1,))
-    assert mg.sylow_partition(15, 2) == Partition((2, 1))
-    with pytest.raises(ValueError):
-        mg.sylow_partition(5, 7)
+    for n, p, alpha in ((8, 2, (1, 1)), (7, 2, (1,)), (15, 2, (2, 1))):
+        assert Partition(partitions.conjugate_parts(mg.definitional_columns(n)[p])) == Partition(alpha)
 
 
 def check_primary_against_definition(n):
@@ -328,6 +325,28 @@ def test_sylow_key_parts_sum_to_sylow_sizes_of_phi(table_100k):
         key[:] = 0
 
 
+def test_every_sylow_key_at_1e6_decodes_to_the_columns_of_its_first_and_last_n(table_1m):
+    # each distinct p-Sylow key met at 1e6, for every keyed p, against sylow_columns
+    # of the first and the last n that carry it (the zero key at n = 1 decodes to
+    # no columns): a key shared by two Sylow types fails at one of them
+    t, N = table_1m, 10**6
+    key = np.zeros(N + 1, dtype=np.int64)
+    keyed = 0
+    for p in t.primes[t.primes <= math.isqrt(N)].tolist():
+        qs = t.primes[(t.primes <= N) & (t.primes % p == 1)]
+        if mg._cyclic_only(N, p, qs):
+            continue
+        weights, _ = mg._sylow_keys(N, p, qs, key)
+        distinct, first = np.unique(key[1:], return_index=True)
+        last = N - np.unique(key[:0:-1], return_index=True)[1]
+        bad = [n for k, *ns in zip(distinct.tolist(), (first + 1).tolist(), last.tolist()) for n in ns
+               if mg._key_columns(k, weights) != mg.sylow_columns(n).get(p, ())]
+        assert not bad, (p, bad[:10])
+        keyed += 1
+        key[:] = 0
+    assert keyed == 62  # of the 168 primes below 10^3; the other 106 are cyclic-only
+
+
 def test_sylow_key_width_check_raises_instead_of_wrapping():
     # a mixed radix past 63 bits is refused before any key is built; with only
     # the primes below 1e6, the width is a lower bound for N = 2^50
@@ -375,12 +394,9 @@ def test_sylow_decomposition_consistency(table_10k):
 
 
 def test_count_examples():
-    assert mg.count_subgroups(8) == 5
-    assert mg.count_subgroups(1) == 1
-    assert mg.count_subgroups(15) == 8
-    assert mg.count_subgroup_isoclasses(8) == 3
-    assert mg.count_subgroup_isoclasses(1) == 1
-    assert mg.count_subgroup_isoclasses(15) == 5
+    assert mg.subgroup_counts(8) == (5, 3)
+    assert mg.subgroup_counts(1) == (1, 1)
+    assert mg.subgroup_counts(15) == (8, 5)
 
 
 def divisors(m):
@@ -413,10 +429,10 @@ def test_oracle_examples():
     assert len(mg.enumerate_subgroups_oracle(8)) == 5
     assert len(mg.enumerate_subgroups_oracle(3)) == 2
     subs16 = mg.enumerate_subgroups_oracle(16)
-    assert len(subs16) == mg.count_subgroups(16) == 8
+    assert len(subs16) == mg.subgroup_counts(16)[0] == 8
     assert mg.classify_isoclasses_oracle(8) == 3
     assert mg.classify_isoclasses_oracle(3) == 2
-    assert mg.classify_isoclasses_oracle(16) == mg.count_subgroup_isoclasses(16) == 5
+    assert mg.classify_isoclasses_oracle(16) == mg.subgroup_counts(16)[1] == 5
 
 
 def test_oracle_subgroups_are_canonical():
@@ -482,7 +498,7 @@ def test_isoclass_oracle_reuses_enumeration(monkeypatch):
     # element orders come from the subgroup list, not from the units again
     monkeypatch.setattr(mg, "units", lambda n: pytest.fail("units listed"))
     for n, s in subs.items():
-        assert mg.classify_isoclasses_oracle(n, subs=s) == mg.count_subgroup_isoclasses(n)
+        assert mg.classify_isoclasses_oracle(n, subs=s) == mg.subgroup_counts(n)[1]
 
 
 def test_formula_matches_oracle_small():

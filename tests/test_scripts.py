@@ -54,7 +54,7 @@ def test_pin_g_upper_slack_runs():
     out = _run_script(["-c", f"import pin_constants; pin_constants.pin_g_upper_slack({n_max})"])
     # the same scan from the per-n counts, not from log_counts
     base = 0.25 * math.log(n_max) ** 2 / math.log(math.log(n_max))
-    ratios = [math.log(multgroup.count_subgroups(n)) / base for n in range(3, n_max + 1)]
+    ratios = [math.log(multgroup.subgroup_counts(n)[0]) / base for n in range(3, n_max + 1)]
     best = max(ratios)
     n = 3 + ratios.index(best)
     assert out == f"G_UPPER_BOUND_SLACK: scan max ratio {best:.6f} at n = {n}\n"
